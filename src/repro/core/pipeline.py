@@ -106,7 +106,6 @@ class SpNeRFField:
         points: np.ndarray,
         view_dirs: np.ndarray,
         encoded_dirs: Optional[np.ndarray] = None,
-        active_mask: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         points = np.asarray(points, dtype=np.float64)
         view_dirs = np.asarray(view_dirs, dtype=np.float64)
@@ -116,8 +115,6 @@ class SpNeRFField:
         density = np.zeros(n, dtype=np.float64)
         rgb = np.zeros((n, 3), dtype=np.float64)
         inside = spec.contains(points)
-        if active_mask is not None:
-            inside = inside & np.asarray(active_mask, dtype=bool)
         if not np.any(inside):
             # Fresh counters on the early-return path too: the active-sample
             # and vertex-lookup counts must read 0, not the previous query's.

@@ -168,22 +168,12 @@ class DenseGridField:
         points: np.ndarray,
         view_dirs: np.ndarray,
         encoded_dirs: Optional[np.ndarray] = None,
-        active_mask: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-sample raw density and RGB.
-
-        ``active_mask`` is an optional precomputed ``(N,)`` occupancy verdict
-        (typically from an :class:`~repro.nerf.occupancy.OccupancyIndex`):
-        samples marked ``False`` are guaranteed empty by the caller, so they
-        skip interpolation and the MLP entirely and return exactly zero —
-        the early-out the SpNeRF pipeline's bitmap cull has always had.
-        """
+        """Per-sample raw density and RGB."""
         points = np.asarray(points, dtype=np.float64)
         view_dirs = np.asarray(view_dirs, dtype=np.float64)
         spec = self.grid.spec
         inside = spec.contains(points)
-        if active_mask is not None:
-            inside = inside & np.asarray(active_mask, dtype=bool)
         n = points.shape[0]
 
         density = np.zeros(n, dtype=np.float64)

@@ -56,8 +56,9 @@ Seven layers, one module each:
 * :mod:`~repro.serve.telemetry` — :class:`ServerStats` snapshots (latency
   percentiles incl. p99, per-stage breakdowns, throughput, cache hit rates,
   per-worker utilization) backed by :mod:`~repro.serve.metrics` bounded
-  streaming histograms, which also render the Prometheus text exposition of
-  ``GET /v1/metrics``.
+  streaming histograms.  Each counter and gauge is declared once, on its
+  ``ServerStats`` field, and the Prometheus text exposition of
+  ``GET /v1/metrics`` is derived from those declarations.
 * :mod:`~repro.serve.tracing` — per-job traces of typed stage spans
   (``queue``/``build``/``render-tile``/``reassemble``/``deliver``) and
   elasticity point events, in a bounded ring; served as JSON

@@ -76,6 +76,7 @@ import os
 import queue as queue_lib
 import threading
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Tuple
@@ -258,7 +259,10 @@ class _Dispatch:
 
 def _execute_tile(store: SceneStore, task: TileTask, worker_id: int) -> TileResult:
     """Render one task against ``store``, never raising: failures become
-    error results so a bad job cannot take a worker (or the server) down."""
+    error results so a bad job cannot take a worker (or the server) down.
+
+    The error is ``"Type: message"`` followed by the worker-side traceback,
+    so the failing frame survives the trip across a process or host."""
     try:
         record, cached, build_s = store.get_accounted(task.scene, task.pipeline)
         start = time.perf_counter()
@@ -286,7 +290,7 @@ def _execute_tile(store: SceneStore, task: TileTask, worker_id: int) -> TileResu
             job_id=task.job_id,
             tile_index=task.tile_index,
             worker_id=worker_id,
-            error=f"{type(exc).__name__}: {exc}",
+            error=f"{type(exc).__name__}: {exc}\n{traceback.format_exc().rstrip()}",
         )
 
 
@@ -315,11 +319,9 @@ class ExecutionBackend:
     def __init__(self) -> None:
         self._in_flight = 0
         self._started = False
-        #: Elasticity counters the server folds into :class:`ServerStats`.
-        #: Only the pool/remote backends ever move them; they stay 0
-        #: elsewhere.  The host_* and local_fallback counters belong to the
-        #: remote backend (lost hosts, re-established connections, tiles
-        #: rendered on the in-process fallback shard).
+        #: Elasticity counters, read into :class:`ServerStats` by the
+        #: ``source`` of their declarations there.  Only the pool/remote
+        #: backends ever move them; they stay 0 elsewhere.
         self.worker_respawns = 0
         self.redispatched_tiles = 0
         self.hedged_tiles = 0
@@ -327,8 +329,7 @@ class ExecutionBackend:
         self.host_losses = 0
         self.host_reconnects = 0
         self.local_fallback_tiles = 0
-        #: Events evicted from the bounded ring before anyone drained them —
-        #: visible (via :class:`ServerStats`) instead of silently lost.
+        #: Events evicted from the bounded ring before anyone drained them.
         self.dropped_events = 0
         #: Pending :class:`BackendEvent`\s, bounded so an undrained backend
         #: (no tracer attached) cannot grow without limit.

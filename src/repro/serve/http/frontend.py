@@ -501,7 +501,7 @@ class HttpRenderFrontEnd:
         if disconnected and not self._feeds.get(feed.job_id):
             try:
                 if self.server.cancel(feed.job_id):
-                    self.telemetry.jobs_cancelled_by_disconnect += 1
+                    self.telemetry.stats.jobs_cancelled_by_disconnect += 1
             except UnknownJobError:
                 pass
 
@@ -594,7 +594,7 @@ class HttpRenderFrontEnd:
                 f"(scene has {len(scene.cameras)} cameras)",
             )
         if self._drr.queued(client) >= self.max_queue_per_client:
-            self.telemetry.queue_full_429 += 1
+            self.telemetry.stats.queue_full_429 += 1
             raise HttpError(
                 429, "queue_full",
                 f"client {client!r} has {self.max_queue_per_client} queued submissions",
@@ -631,8 +631,8 @@ class HttpRenderFrontEnd:
         task = asyncio.current_task()
         assert task is not None
         self._connections.add(task)
-        self.telemetry.connections_total += 1
-        self.telemetry.active_connections += 1
+        self.telemetry.stats.connections_total += 1
+        self.telemetry.stats.active_connections += 1
         peername = writer.get_extra_info("peername")
         peer = f"{peername[0]}:{peername[1]}" if peername else "unknown"
         try:
@@ -653,7 +653,7 @@ class HttpRenderFrontEnd:
         except (ConnectionResetError, BrokenPipeError, TimeoutError):
             pass
         finally:
-            self.telemetry.active_connections -= 1
+            self.telemetry.stats.active_connections -= 1
             self._connections.discard(task)
             writer.close()
             try:
@@ -754,7 +754,7 @@ class HttpRenderFrontEnd:
             params["trace_origin_s"] = trace_origin_s
             admitted, retry_after = self._limiter.check(client)
             if not admitted:
-                self.telemetry.rate_limited_429 += 1
+                self.telemetry.stats.rate_limited_429 += 1
                 raise HttpError(
                     429, "rate_limited",
                     f"client {client!r} is over its submission rate",
@@ -777,9 +777,9 @@ class HttpRenderFrontEnd:
 
         if not stream:
             view = await pending.future
-            self.telemetry.jobs_submitted += 1
+            self.telemetry.stats.jobs_submitted += 1
             if view.state is JobState.REJECTED:
-                self.telemetry.admission_429 += 1
+                self.telemetry.stats.admission_429 += 1
                 error = HttpError(
                     429, "admission_rejected",
                     "the server's admission control rejected this job",
@@ -799,18 +799,18 @@ class HttpRenderFrontEnd:
         assert feed is not None
         writer.write(sse_header_bytes())
         await writer.drain()
-        self.telemetry.sse_streams_total += 1
-        self.telemetry.active_sse_streams += 1
+        self.telemetry.stats.sse_streams_total += 1
+        self.telemetry.stats.active_sse_streams += 1
         self.telemetry.record_response(200, time.perf_counter() - started)
         try:
             view = await pending.future
-            self.telemetry.jobs_submitted += 1
+            self.telemetry.stats.jobs_submitted += 1
             writer.write(sse_event_bytes("accepted", self._view_payload(view)))
             await writer.drain()
-            self.telemetry.sse_events_sent += 1
+            self.telemetry.stats.sse_events_sent += 1
             await self._stream_feed(feed, reader, writer)
         finally:
-            self.telemetry.active_sse_streams -= 1
+            self.telemetry.stats.active_sse_streams -= 1
         return False  # SSE streams are connection-delimited
 
     # -- attach to an existing job's stream -----------------------------
@@ -832,13 +832,13 @@ class HttpRenderFrontEnd:
         self._wake.set()
         writer.write(sse_header_bytes())
         await writer.drain()
-        self.telemetry.sse_streams_total += 1
-        self.telemetry.active_sse_streams += 1
+        self.telemetry.stats.sse_streams_total += 1
+        self.telemetry.stats.active_sse_streams += 1
         self.telemetry.record_response(200, time.perf_counter() - started)
         try:
             await self._stream_feed(feed, reader, writer)
         finally:
-            self.telemetry.active_sse_streams -= 1
+            self.telemetry.stats.active_sse_streams -= 1
         return False
 
     async def _stream_feed(
@@ -875,7 +875,7 @@ class HttpRenderFrontEnd:
                 except (ConnectionResetError, BrokenPipeError):
                     disconnected = True
                     break
-                self.telemetry.sse_events_sent += 1
+                self.telemetry.stats.sse_events_sent += 1
                 if terminal:
                     break
         except asyncio.CancelledError:

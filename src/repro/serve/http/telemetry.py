@@ -12,13 +12,14 @@ the job's, not the handler's).  ``GET /v1/stats`` returns both, merged::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List
 
 from repro.serve.metrics import (
     StreamingHistogram,
-    prometheus_counter,
-    prometheus_gauge,
+    counter,
+    gauge,
+    metric_families,
     prometheus_histogram,
 )
 
@@ -27,22 +28,36 @@ __all__ = ["HttpEdgeStats", "HttpEdgeTelemetry"]
 
 @dataclass
 class HttpEdgeStats:
-    """One flat snapshot of the HTTP edge (counters are lifetime totals)."""
+    """One flat snapshot of the HTTP edge (counters are lifetime totals).
 
-    connections_total: int = 0
-    active_connections: int = 0
-    requests_total: int = 0
-    responses_by_status: Dict[str, int] = field(default_factory=dict)
+    Fields are in ``/v1/metrics`` order; ``bad_requests_400`` and
+    ``not_found_404`` are exported through ``repro_edge_responses_total``.
+    """
+
+    connections_total: int = counter("repro_edge_connections_total", "TCP connections accepted.")
+    requests_total: int = counter("repro_edge_requests_total", "HTTP requests answered.")
+    rate_limited_429: int = counter(
+        "repro_edge_rate_limited_429_total", "Submissions refused by the rate limiter.")
+    queue_full_429: int = counter(
+        "repro_edge_queue_full_429_total", "Submissions refused by the fairness-queue bound.")
+    admission_429: int = counter(
+        "repro_edge_admission_429_total", "Submissions the server's admission control rejected.")
+    jobs_submitted: int = counter(
+        "repro_edge_jobs_submitted_total", "Jobs the edge successfully submitted.")
+    jobs_cancelled_by_disconnect: int = counter(
+        "repro_edge_jobs_cancelled_by_disconnect_total",
+        "Jobs cancelled after a stream disconnect.")
+    sse_streams_total: int = counter("repro_edge_sse_streams_total", "SSE streams opened.")
+    sse_events_sent: int = counter(
+        "repro_edge_sse_events_sent_total", "SSE events written to sockets.")
+    responses_by_status: Dict[str, int] = counter(
+        "repro_edge_responses_total", "HTTP responses by status code.",
+        label="status", default_factory=dict)
+    active_connections: int = gauge(
+        "repro_edge_active_connections", "Currently open TCP connections.")
+    active_sse_streams: int = gauge("repro_edge_active_sse_streams", "Currently open SSE streams.")
     bad_requests_400: int = 0
     not_found_404: int = 0
-    rate_limited_429: int = 0
-    queue_full_429: int = 0
-    admission_429: int = 0
-    jobs_submitted: int = 0
-    jobs_cancelled_by_disconnect: int = 0
-    sse_streams_total: int = 0
-    active_sse_streams: int = 0
-    sse_events_sent: int = 0
     request_latency_p50_s: float = float("nan")
     request_latency_p95_s: float = float("nan")
     per_client_queue_depth: Dict[str, int] = field(default_factory=dict)
@@ -58,39 +73,29 @@ class HttpEdgeTelemetry:
     """Accumulates edge observations; :meth:`snapshot` flattens them.
 
     Mutated from two places with an explicit division of labour: connection
-    and request counters from the event loop's handlers, queue/in-flight
-    gauges read from the scheduler thread's fairness structures at snapshot
-    time.  Every mutation is a single int/list op under the GIL, so no lock
-    is needed for counters that are only ever incremented.
+    and request counters (plain attribute adds on ``stats``) from the event
+    loop's handlers, queue/in-flight gauges read from the scheduler thread's
+    fairness structures at snapshot time.  Every mutation is a single
+    int/dict op under the GIL, so no lock is needed for counters that are
+    only ever incremented.
     """
 
-    connections_total: int = 0
-    active_connections: int = 0
-    requests_total: int = 0
-    responses_by_status: Dict[int, int] = field(default_factory=dict)
-    bad_requests_400: int = 0
-    not_found_404: int = 0
-    rate_limited_429: int = 0
-    queue_full_429: int = 0
-    admission_429: int = 0
-    jobs_submitted: int = 0
-    jobs_cancelled_by_disconnect: int = 0
-    sse_streams_total: int = 0
-    active_sse_streams: int = 0
-    sse_events_sent: int = 0
+    stats: HttpEdgeStats = field(default_factory=HttpEdgeStats)
     #: Bounded request-latency distribution (log buckets + exact-at-small-N
-    #: reservoir; replaces the earlier capped-at-100k list).
+    #: reservoir).
     request_latency_hist: StreamingHistogram = field(default_factory=StreamingHistogram)
 
     # ------------------------------------------------------------------
     def record_response(self, status: int, latency_s: float) -> None:
         """One completed (non-streaming) request/response exchange."""
-        self.requests_total += 1
-        self.responses_by_status[status] = self.responses_by_status.get(status, 0) + 1
+        stats = self.stats
+        stats.requests_total += 1
+        key = str(status)
+        stats.responses_by_status[key] = stats.responses_by_status.get(key, 0) + 1
         if status == 400:
-            self.bad_requests_400 += 1
+            stats.bad_requests_400 += 1
         elif status == 404:
-            self.not_found_404 += 1
+            stats.not_found_404 += 1
         self.request_latency_hist.observe(latency_s)
 
     def snapshot(
@@ -98,24 +103,9 @@ class HttpEdgeTelemetry:
         per_client_queue_depth: Dict[str, int],
         per_client_in_flight: Dict[str, int],
     ) -> HttpEdgeStats:
-        return HttpEdgeStats(
-            connections_total=self.connections_total,
-            active_connections=self.active_connections,
-            requests_total=self.requests_total,
-            responses_by_status={
-                str(status): count
-                for status, count in sorted(self.responses_by_status.items())
-            },
-            bad_requests_400=self.bad_requests_400,
-            not_found_404=self.not_found_404,
-            rate_limited_429=self.rate_limited_429,
-            queue_full_429=self.queue_full_429,
-            admission_429=self.admission_429,
-            jobs_submitted=self.jobs_submitted,
-            jobs_cancelled_by_disconnect=self.jobs_cancelled_by_disconnect,
-            sse_streams_total=self.sse_streams_total,
-            active_sse_streams=self.active_sse_streams,
-            sse_events_sent=self.sse_events_sent,
+        return replace(
+            self.stats,
+            responses_by_status=dict(sorted(self.stats.responses_by_status.items())),
             request_latency_p50_s=self.request_latency_hist.percentile(50),
             request_latency_p95_s=self.request_latency_hist.percentile(95),
             per_client_queue_depth=dict(per_client_queue_depth),
@@ -124,47 +114,8 @@ class HttpEdgeTelemetry:
 
     def metrics_families(self) -> List[List[str]]:
         """The edge's Prometheus families (appended to the server's page)."""
-        counters = [
-            ("connections", "TCP connections accepted.", self.connections_total),
-            ("requests", "HTTP requests answered.", self.requests_total),
-            ("rate_limited_429", "Submissions refused by the rate limiter.",
-             self.rate_limited_429),
-            ("queue_full_429", "Submissions refused by the fairness-queue bound.",
-             self.queue_full_429),
-            ("admission_429", "Submissions the server's admission control rejected.",
-             self.admission_429),
-            ("jobs_submitted", "Jobs the edge successfully submitted.",
-             self.jobs_submitted),
-            ("jobs_cancelled_by_disconnect", "Jobs cancelled after a stream disconnect.",
-             self.jobs_cancelled_by_disconnect),
-            ("sse_streams", "SSE streams opened.", self.sse_streams_total),
-            ("sse_events_sent", "SSE events written to sockets.", self.sse_events_sent),
-        ]
-        families = [
-            prometheus_counter(f"repro_edge_{name}_total", help_text, value)
-            for name, help_text, value in counters
-        ]
-        families.append([
-            "# HELP repro_edge_responses_total HTTP responses by status code.",
-            "# TYPE repro_edge_responses_total counter",
-            *(
-                f'repro_edge_responses_total{{status="{status}"}} {count}'
-                for status, count in sorted(self.responses_by_status.items())
-            ),
-        ])
-        families.append(prometheus_gauge(
-            "repro_edge_active_connections",
-            "Currently open TCP connections.",
-            [(None, self.active_connections)],
-        ))
-        families.append(prometheus_gauge(
-            "repro_edge_active_sse_streams",
-            "Currently open SSE streams.",
-            [(None, self.active_sse_streams)],
-        ))
-        families.append(prometheus_histogram(
+        return metric_families(self.stats) + [prometheus_histogram(
             "repro_edge_request_seconds",
             "Parse-to-response-written handler latency (SSE excluded).",
             self.request_latency_hist,
-        ))
-        return families
+        )]

@@ -18,18 +18,29 @@ format (cumulative ``le`` buckets, ``_sum``, ``_count``), which is what
 scrape page from plain counter/gauge/histogram primitives so the server and
 the HTTP edge can each contribute their families without duplicating the
 escaping rules.
+
+Counters and gauges are **declared once**, on the stats dataclass field
+that carries them: :func:`counter` and :func:`gauge` attach the family's
+name, type and help text as field metadata, and :func:`metric_families`
+turns every declared field of a snapshot into its family.  A field's
+``/v1/stats`` key, its BENCH key and its ``/v1/metrics`` family therefore
+come from the same line.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "StreamingHistogram",
+    "counter",
+    "gauge",
+    "metric_families",
     "prometheus_counter",
     "prometheus_gauge",
     "prometheus_histogram",
@@ -218,6 +229,22 @@ def _format_value(value: float) -> str:
     return repr(float(value)) if isinstance(value, float) else str(int(value))
 
 
+def prometheus_family(
+    name: str,
+    kind: str,
+    help_text: str,
+    samples: Sequence[Tuple[Optional[Dict[str, str]], float]],
+) -> List[str]:
+    """One counter or gauge family with one line per ``(labels, value)`` sample."""
+    lines = [
+        f"# HELP {name} {_escape_help(help_text)}",
+        f"# TYPE {name} {kind}",
+    ]
+    for labels, value in samples:
+        lines.append(f"{name}{_format_labels(labels)} {_format_value(value)}")
+    return lines
+
+
 def prometheus_counter(
     name: str,
     help_text: str,
@@ -225,11 +252,7 @@ def prometheus_counter(
     labels: Optional[Dict[str, str]] = None,
 ) -> List[str]:
     """One counter family as exposition lines (``# HELP``/``# TYPE`` + sample)."""
-    return [
-        f"# HELP {name} {_escape_help(help_text)}",
-        f"# TYPE {name} counter",
-        f"{name}{_format_labels(labels)} {_format_value(value)}",
-    ]
+    return prometheus_family(name, "counter", help_text, [(labels, value)])
 
 
 def prometheus_gauge(
@@ -238,13 +261,7 @@ def prometheus_gauge(
     samples: Sequence[Tuple[Optional[Dict[str, str]], float]],
 ) -> List[str]:
     """One gauge family with one line per ``(labels, value)`` sample."""
-    lines = [
-        f"# HELP {name} {_escape_help(help_text)}",
-        f"# TYPE {name} gauge",
-    ]
-    for labels, value in samples:
-        lines.append(f"{name}{_format_labels(labels)} {_format_value(value)}")
-    return lines
+    return prometheus_family(name, "gauge", help_text, samples)
 
 
 def prometheus_histogram(
@@ -273,3 +290,61 @@ def render_prometheus(families: Iterable[List[str]]) -> str:
     for family in families:
         lines.extend(family)
     return "\n".join(lines) + "\n"
+
+
+# ----------------------------------------------------------------------
+# Declared metrics
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Metric:
+    """How one stats field is exported on ``/v1/metrics``.
+
+    ``label`` marks a list- or dict-valued field: it exports one sample per
+    element, labelled with the element's index or key.
+    """
+
+    name: str
+    kind: str
+    help: str
+    label: Optional[str] = None
+
+
+def _declare(kind, name, help_text, label, source, field_options):
+    if "default_factory" not in field_options:
+        field_options.setdefault("default", 0)
+    metadata = {"metric": Metric(name, kind, help_text, label), "source": source}
+    return field(metadata=metadata, **field_options)
+
+
+def counter(name: str, help_text: str, *, label=None, source=None, **field_options):
+    """A dataclass field exported as the counter family ``name``.
+
+    ``source`` names the live ``"object.attribute"`` a snapshot reads the
+    value from, for values owned outside the accumulator (see
+    :meth:`repro.serve.telemetry.Telemetry.snapshot`).  ``field_options``
+    go to :func:`dataclasses.field` (``default`` is 0 unless given).
+    """
+    return _declare("counter", name, help_text, label, source, field_options)
+
+
+def gauge(name: str, help_text: str, *, label=None, source=None, **field_options):
+    """A dataclass field exported as the gauge family ``name`` (see :func:`counter`)."""
+    return _declare("gauge", name, help_text, label, source, field_options)
+
+
+def metric_families(stats) -> List[List[str]]:
+    """One family per :func:`counter`/:func:`gauge` field of ``stats``, in field order."""
+    families = []
+    for spec in fields(stats):
+        metric = spec.metadata.get("metric")
+        if metric is None:
+            continue
+        value = getattr(stats, spec.name)
+        if metric.label is None:
+            samples = [(None, value)]
+        else:
+            items = sorted(value.items()) if isinstance(value, dict) else enumerate(value)
+            samples = [({metric.label: str(key)}, item) for key, item in items]
+        families.append(prometheus_family(metric.name, metric.kind, metric.help, samples))
+    return families

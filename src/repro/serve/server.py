@@ -48,14 +48,9 @@ from repro.nerf.metrics import psnr as compute_psnr
 from repro.nerf.renderer import RenderStats
 from repro.serve.backends import ExecutionBackend, SerialBackend, TileResult, TileTask, make_backend
 from repro.serve.cache import TileCache, make_cache, tile_fingerprint
-from repro.serve.metrics import (
-    prometheus_counter,
-    prometheus_gauge,
-    prometheus_histogram,
-    render_prometheus,
-)
+from repro.serve.metrics import metric_families, prometheus_histogram, render_prometheus
 from repro.serve.store import SceneStore
-from repro.serve.telemetry import ServerStats, Telemetry
+from repro.serve.telemetry import STAGES, ServerStats, Telemetry
 from repro.serve.tiles import Tile, assemble_tiles, plan_tiles
 from repro.serve.tracing import TraceRecorder
 
@@ -423,7 +418,7 @@ class RenderServer:
                     admitted, over_cost = False, True
                 elif priority is not Priority.LOW:
                     priority = Priority.LOW
-                    self.telemetry.demoted_over_cost += 1
+                    self.telemetry.stats.demoted_over_cost += 1
         job = _Job(
             job_id=f"job-{self._seq:05d}",
             scene=scene,
@@ -438,7 +433,7 @@ class RenderServer:
             estimated_cost=cost,
         )
         self._jobs[job.job_id] = job
-        self.telemetry.submitted += 1
+        self.telemetry.stats.submitted += 1
         self.tracer.start(
             job.job_id,
             origin_s=trace_origin_s if trace_origin_s is not None else job.submitted_at,
@@ -456,9 +451,9 @@ class RenderServer:
         else:
             job.state = JobState.REJECTED
             job.finished_at = job.submitted_at
-            self.telemetry.rejected += 1
+            self.telemetry.stats.rejected += 1
             if over_cost:
-                self.telemetry.rejected_over_cost += 1
+                self.telemetry.stats.rejected_over_cost += 1
             self.tracer.add_event(
                 job.job_id, "rejected", ts_s=job.submitted_at, over_cost=over_cost
             )
@@ -564,7 +559,7 @@ class RenderServer:
         job.state = JobState.CANCELLED
         job.finished_at = self._clock()
         job.tile_images = {}  # partial shards are dead weight now
-        self.telemetry.cancelled += 1
+        self.telemetry.stats.cancelled += 1
         self.tracer.add_event(job.job_id, "cancelled", ts_s=job.finished_at)
         self.tracer.finish(job.job_id, JobState.CANCELLED.value, finished_s=job.finished_at)
         self._retire(job)
@@ -583,134 +578,27 @@ class RenderServer:
         return bool(self._active) or self.backend.in_flight > 0
 
     def stats(self) -> ServerStats:
-        """One :class:`ServerStats` snapshot (telemetry + store + backend)."""
+        """One :class:`ServerStats` snapshot (telemetry + store + backend + cache)."""
         wall = time.perf_counter() - self._wall_start if self._wall_start is not None else None
         return self.telemetry.snapshot(
-            queue_depth=self.pending_count(),
-            store_stats=self.store.stats(),
-            backend=self.backend.name,
-            num_workers=self.backend.num_workers,
             wall_s=wall,
+            sources={
+                "backend": self.backend,
+                "store": self.store.stats(),
+                "cache": self.cache.stats() if self.cache is not None else None,
+            },
+            queue_depth=self.pending_count(),
             pending_cost=self._pending_cost,
-            worker_respawns=self.backend.worker_respawns,
-            redispatched_tiles=self.backend.redispatched_tiles,
-            hedged_tiles=self.backend.hedged_tiles,
-            stolen_keys=self.backend.stolen_keys,
-            host_losses=self.backend.host_losses,
-            host_reconnects=self.backend.host_reconnects,
-            local_fallback_tiles=self.backend.local_fallback_tiles,
-            dropped_backend_events=self.backend.dropped_events,
-            cache_stats=self.cache.stats() if self.cache is not None else None,
+            cache_enabled=self.cache is not None,
         )
 
     def metrics_families(self) -> List[List[str]]:
         """The server's Prometheus families (the edge appends its own)."""
-        stats = self.stats()
-        counters = [
-            ("jobs_submitted", "Jobs submitted over the server's lifetime.", stats.submitted),
-            ("jobs_completed", "Jobs that finished with a frame.", stats.completed),
-            ("jobs_rejected", "Jobs refused by admission control.", stats.rejected),
-            ("jobs_expired", "Jobs whose deadline elapsed before completion.", stats.expired),
-            ("jobs_failed", "Jobs that errored while rendering or finalizing.", stats.failed),
-            ("jobs_cancelled", "Jobs cancelled by their caller.", stats.cancelled),
-            ("tiles_rendered", "Tile renders applied (duplicates excluded).", stats.tiles_rendered),
-            ("tile_results_dropped", "Tile completions dropped (late, duplicate).",
-             stats.dropped_tile_results),
-            ("worker_respawns", "Dead pool workers replaced by the supervisor.",
-             stats.worker_respawns),
-            ("tiles_redispatched", "In-flight tiles re-sent after a worker died.",
-             stats.redispatched_tiles),
-            ("tiles_hedged", "Speculative duplicate dispatches of slow tiles.",
-             stats.hedged_tiles),
-            ("keys_stolen", "Affinity keys migrated off a saturated worker.",
-             stats.stolen_keys),
-            ("host_losses", "Remote hosts declared dead (EOF, torn frame, heartbeat).",
-             stats.host_losses),
-            ("host_reconnects", "Remote host connections re-established after a loss.",
-             stats.host_reconnects),
-            ("tiles_local_fallback", "Tiles rendered on the local fallback shard.",
-             stats.local_fallback_tiles),
-            ("backend_events_dropped", "Elasticity events evicted from the bounded ring.",
-             stats.dropped_backend_events),
-            ("store_hits", "Bundle requests served from residency.", stats.store_hits),
-            ("store_misses", "Bundle requests that forced a build.", stats.store_misses),
-            ("store_evictions", "Bundles evicted by the store's LRU budget.",
-             stats.store_evictions),
-            ("cache_hits", "Tiles served from the content-addressed cache.",
-             stats.cache_hits),
-            ("cache_misses", "Tile cache lookups that went to the backend.",
-             stats.cache_misses),
-            ("cache_evictions", "Tiles evicted by the cache's LRU byte budget.",
-             stats.cache_evictions),
-            ("tiles_deduped", "Tiles attached to an identical in-flight dispatch.",
-             stats.deduped_tiles),
-            ("rays_rendered", "Rays rendered across all tiles.", stats.num_rays),
-        ]
-        families = [
-            prometheus_counter(f"repro_serve_{name}_total", help_text, value)
-            for name, help_text, value in counters
-        ]
-        families.append(prometheus_gauge(
-            "repro_serve_queue_depth",
-            "Jobs currently queued or mid-render.",
-            [(None, stats.queue_depth)],
-        ))
-        families.append(prometheus_gauge(
-            "repro_serve_pending_cost",
-            "Summed admission-cost estimate of unfinished jobs.",
-            [(None, stats.pending_cost)],
-        ))
-        families.append(prometheus_gauge(
-            "repro_serve_resident_bundles",
-            "Scene bundles currently resident in the store.",
-            [(None, stats.resident_bundles)],
-        ))
-        families.append(prometheus_gauge(
-            "repro_serve_resident_bytes",
-            "Estimated bytes of resident scene bundles.",
-            [(None, stats.resident_bytes)],
-        ))
-        families.append(prometheus_gauge(
-            "repro_serve_cache_entries",
-            "Tiles resident in the content-addressed cache.",
-            [(None, stats.cache_entries)],
-        ))
-        families.append(prometheus_gauge(
-            "repro_serve_cache_bytes",
-            "Bytes of resident cached tiles.",
-            [(None, stats.cache_bytes)],
-        ))
-        families.append(prometheus_gauge(
-            "repro_serve_worker_utilization",
-            "Per-worker busy fraction since the first dispatch.",
-            [({"worker": str(worker)}, value)
-             for worker, value in enumerate(stats.worker_utilization)],
-        ))
-        families.append(prometheus_gauge(
-            "repro_serve_throughput_rays_per_s",
-            "Busy-time-normalized ray throughput (per-worker efficiency).",
-            [(None, stats.throughput_rays_per_s)],
-        ))
-        families.append(prometheus_gauge(
-            "repro_serve_throughput_rays_per_s_wall",
-            "Wall-clock-normalized ray throughput (serving capacity).",
-            [(None, stats.throughput_rays_per_s_wall)],
-        ))
-        stage_help = {
-            "queue_wait": "Submission-to-first-dispatch wait per job.",
-            "build": "Bundle build time per cold tile batch.",
-            "render": "Per-tile render service time.",
-            "cache_hit": "Scheduler time serving a tile from the cache.",
-            "reassemble": "Tile recomposition + reference compare per job.",
-            "deliver": "Completion-to-first-fetch lag per delivered job.",
-            "latency": "Submission-to-completion latency per job.",
-        }
+        families = metric_families(self.stats())
         for stage, histogram in self.telemetry.stages.items():
-            families.append(prometheus_histogram(
-                f"repro_serve_{stage}_seconds",
-                stage_help.get(stage, f"{stage} stage duration."),
-                histogram,
-            ))
+            families.append(
+                prometheus_histogram(f"repro_serve_{stage}_seconds", STAGES[stage], histogram)
+            )
         return families
 
     def metrics_text(self) -> str:
@@ -796,7 +684,7 @@ class RenderServer:
                 job.state = JobState.EXPIRED
                 job.finished_at = now
                 job.tile_images = {}  # partial shards are dead weight now
-                self.telemetry.expired += 1
+                self.telemetry.stats.expired += 1
                 self.tracer.add_event(
                     job_id, "expired", ts_s=now, deadline_s=job.deadline_s
                 )
@@ -867,7 +755,7 @@ class RenderServer:
                 if waiters is not None:
                     origin_job, origin_tile = waiters[0]
                     waiters.append((job.job_id, tile_index))
-                    self.telemetry.deduped_tiles += 1
+                    self.telemetry.stats.deduped_tiles += 1
                     self.tracer.add_event(
                         job.job_id,
                         "dedup-attach",
@@ -950,7 +838,7 @@ class RenderServer:
                 # the loser is an error, since the tile demonstrably
                 # rendered fine once.  It must not resolve the pending-key
                 # table either; the winner already did.
-                self.telemetry.dropped_tile_results += 1
+                self.telemetry.stats.dropped_tile_results += 1
                 continue
             key = self._task_keys.pop((result.job_id, result.tile_index), None)
             waiters = self._pending_keys.pop(key, None) if key is not None else None
@@ -963,7 +851,7 @@ class RenderServer:
                 for job_id, _ in waiters:
                     job = self._jobs.get(job_id)
                     if job is None or job.state not in _ACTIVE_STATES:
-                        self.telemetry.dropped_tile_results += 1
+                        self.telemetry.stats.dropped_tile_results += 1
                         continue
                     self._fail(job, result.error)
                 continue
@@ -976,10 +864,10 @@ class RenderServer:
                     # Late arrival for an expired/failed/retired job: the
                     # work is counted (it did busy a worker) but the frame
                     # is gone.
-                    self.telemetry.dropped_tile_results += 1
+                    self.telemetry.stats.dropped_tile_results += 1
                     continue
                 if tile_index in job.tile_images:
-                    self.telemetry.dropped_tile_results += 1
+                    self.telemetry.stats.dropped_tile_results += 1
                     continue
                 if job_id == result.job_id and tile_index == result.tile_index:
                     self._trace_tile(job_id, result, link=link)
@@ -1020,7 +908,7 @@ class RenderServer:
     def _apply_tile(self, job: _Job, tile_index: int, image: np.ndarray) -> None:
         """The common tail of every apply path: record the pixels, maybe finish."""
         if tile_index < job.max_applied_tile:
-            self.telemetry.ooo_completions += 1
+            self.telemetry.stats.ooo_completions += 1
         job.max_applied_tile = max(job.max_applied_tile, tile_index)
         job.tile_images[tile_index] = image
         job.tiles_completed += 1
@@ -1117,7 +1005,7 @@ class RenderServer:
         job.finished_at = self._clock()
         job.error = error
         job.tile_images = {}
-        self.telemetry.failed += 1
+        self.telemetry.stats.failed += 1
         self.tracer.add_event(job.job_id, "failed", ts_s=job.finished_at, error=error)
         self.tracer.finish(job.job_id, JobState.FAILED.value, finished_s=job.finished_at)
         self._retire(job)

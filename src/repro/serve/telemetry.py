@@ -2,9 +2,15 @@
 
 The server records one observation per finished job (completed, rejected,
 expired or failed) plus per-tile service counters; :meth:`Telemetry.snapshot`
-folds them, together with the scene store's counters, into a single
-:class:`ServerStats` — the flat object `benchmarks/perf_serve.py` serialises
-into ``BENCH_serve.json`` and operators would scrape in production.
+folds them, together with the backend's, store's and cache's counters, into
+a single :class:`ServerStats` — the flat object ``GET /v1/stats`` returns
+and `benchmarks/perf_serve.py` serialises into ``BENCH_serve.json``.
+
+Every exported number is declared once, on its :class:`ServerStats` field
+(:func:`~repro.serve.metrics.counter` / :func:`~repro.serve.metrics.gauge`)
+or in :data:`STAGES`; ``GET /v1/metrics`` is derived from those
+declarations, so adding a field adds its ``/v1/stats`` key, its BENCH key
+and its Prometheus family at once.
 
 Latency is split the way queueing systems are debugged: ``queue_wait`` (from
 submission to the job's first tile being dispatched to the execution
@@ -25,24 +31,30 @@ over it is the very estimator the old lists used).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.nerf.renderer import RenderStats
-from repro.serve.cache import TileCacheStats
-from repro.serve.metrics import StreamingHistogram
-from repro.serve.store import SceneStoreStats
+from repro.serve.metrics import StreamingHistogram, counter, gauge
 
-__all__ = ["ServerStats", "Telemetry", "percentile", "STAGE_NAMES"]
+__all__ = ["ServerStats", "Telemetry", "percentile", "STAGES", "STAGE_NAMES"]
 
-#: The per-stage distributions ``Telemetry`` maintains, in pipeline order.
+#: The per-stage distributions ``Telemetry`` maintains, in pipeline order,
+#: with their help text; each exports as ``repro_serve_<stage>_seconds``.
 #: ``cache_hit`` times the scheduler serving a tile straight from the
 #: :class:`~repro.serve.cache.TileCache` (lookup + apply, no backend).
-STAGE_NAMES = (
-    "queue_wait", "build", "render", "cache_hit", "reassemble", "deliver", "latency"
-)
+STAGES = {
+    "queue_wait": "Submission-to-first-dispatch wait per job.",
+    "build": "Bundle build time per cold tile batch.",
+    "render": "Per-tile render service time.",
+    "cache_hit": "Scheduler time serving a tile from the cache.",
+    "reassemble": "Tile recomposition + reference compare per job.",
+    "deliver": "Completion-to-first-fetch lag per delivered job.",
+    "latency": "Submission-to-completion latency per job.",
+}
+STAGE_NAMES = tuple(STAGES)
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -52,86 +64,145 @@ def percentile(values: Sequence[float], q: float) -> float:
     return float(np.percentile(np.asarray(values, dtype=np.float64), q))
 
 
+def _sourced(source: str, default):
+    """An unexported field whose snapshot value is read from ``source``."""
+    return field(default=default, metadata={"source": source})
+
+
 @dataclass
 class ServerStats:
     """One flat snapshot of a :class:`~repro.serve.server.RenderServer`.
 
-    Counters cover the server's whole lifetime; queue depth and residency
-    describe the instant the snapshot was taken.  ``backend``,
-    ``num_workers`` and ``worker_utilization`` describe the execution
-    backend: utilization is each worker's busy time (rendering + bundle
+    Counters cover the server's whole lifetime; gauges describe the instant
+    the snapshot was taken.  Fields are in ``/v1/metrics`` order: the
+    declared counters, then the declared gauges, then the unexported rest.
+
+    ``worker_utilization`` is each worker's busy time (rendering + bundle
     builds) over the wall time since the server first dispatched, so a
-    saturated 4-worker process pool reads ``[~1.0, ~1.0, ~1.0, ~1.0]`` and a
-    pool starved by affinity skew shows it immediately.
-    ``ooo_completions`` counts tiles that finished after a later-submitted
-    tile of the same job — always 0 under the serial backend, and the
-    direct measure of how much reordering the streaming delivery absorbs.
+    saturated 4-worker pool reads ``[~1.0, ~1.0, ~1.0, ~1.0]`` and a pool
+    starved by affinity skew shows it immediately.  The two throughputs are
+    deliberately distinct: ``throughput_rays_per_s`` divides by busy time,
+    so it measures per-worker efficiency and cannot exceed one worker's
+    speed; ``throughput_rays_per_s_wall`` divides by elapsed wall time, the
+    serving capacity an operator provisions against.
 
-    Two throughput figures, deliberately distinct:
-
-    * ``throughput_rays_per_s`` is **busy-time-normalized** — rays divided
-      by the summed seconds workers actually spent rendering and building.
-      It measures per-worker rendering efficiency, is independent of load
-      and parallelism, and *cannot exceed one worker's speed* (a 4-worker
-      pool at full tilt reports the same value as one busy worker).
-    * ``throughput_rays_per_s_wall`` is **wall-clock-normalized** — rays
-      divided by elapsed wall time since the first dispatch.  This is the
-      serving capacity an operator provisions against: it scales with
-      worker count and drops when the server idles between requests.
-
-    The four elasticity counters come from the execution backend's
-    supervisor and stay 0 everywhere but the process pool:
-    ``worker_respawns`` (dead worker processes replaced from the store
-    spec), ``redispatched_tiles`` (in-flight tiles re-sent after their
-    worker died), ``hedged_tiles`` (speculative duplicate dispatches of
-    slow tiles) and ``stolen_keys`` (``(scene, pipeline)`` affinity keys
-    migrated off a hot shard).  Duplicate completions those mechanisms
-    produce are dropped by the scheduler and counted in
-    ``dropped_tile_results``.  The remote backend adds ``host_losses``,
-    ``host_reconnects`` and ``local_fallback_tiles`` (and, like every
-    backend, reports ``dropped_backend_events`` when its bounded event ring
-    overflows undrained).
-
-    ``stage_breakdown`` maps each pipeline stage (``queue_wait``, ``build``,
-    ``render``, ``reassemble``, ``deliver``, ``latency``) to its bounded-
-    histogram digest (count / total / mean / p50 / p95 / p99 seconds) — the
-    per-stage answer to "where do slow jobs spend their time" without
-    pulling a full trace.
+    The elasticity counters stay 0 under the serial and thread backends; the
+    duplicate completions that respawns, re-dispatches and hedges produce
+    are dropped by the scheduler and counted in ``dropped_tile_results``.  ``stage_breakdown`` maps each of
+    :data:`STAGE_NAMES` to its bounded-histogram digest (count / total /
+    mean / p50 / p95 / p99 seconds).
     """
 
-    submitted: int = 0
-    completed: int = 0
-    rejected: int = 0
-    rejected_over_cost: int = 0
-    demoted_over_cost: int = 0
-    expired: int = 0
-    failed: int = 0
-    cancelled: int = 0
-    queue_depth: int = 0
-    pending_cost: float = 0.0
-    tiles_rendered: int = 0
-    ooo_completions: int = 0
-    dropped_tile_results: int = 0
-    worker_respawns: int = 0
-    redispatched_tiles: int = 0
-    hedged_tiles: int = 0
-    stolen_keys: int = 0
-    #: Remote-backend robustness counters (0 on in-process backends):
-    #: hosts declared dead (EOF, torn frame, heartbeat deadline), host
-    #: connections re-established after a loss, and tiles rendered on the
-    #: local in-process fallback shard while every host was down.
-    host_losses: int = 0
-    host_reconnects: int = 0
-    local_fallback_tiles: int = 0
-    #: Backend elasticity events evicted from the bounded ring before the
-    #: scheduler drained them (an undrained or overwhelmed tracer).
-    dropped_backend_events: int = 0
-    num_rays: int = 0
-    num_culled_samples: int = 0
-    num_skipped_rays: int = 0
-    busy_s: float = 0.0
-    throughput_rays_per_s: float = 0.0
-    throughput_rays_per_s_wall: float = 0.0
+    submitted: int = counter(
+        "repro_serve_jobs_submitted_total", "Jobs submitted over the server's lifetime.")
+    completed: int = counter("repro_serve_jobs_completed_total", "Jobs that finished with a frame.")
+    rejected: int = counter("repro_serve_jobs_rejected_total", "Jobs refused by admission control.")
+    expired: int = counter(
+        "repro_serve_jobs_expired_total", "Jobs whose deadline elapsed before completion.")
+    failed: int = counter(
+        "repro_serve_jobs_failed_total", "Jobs that errored while rendering or finalizing.")
+    cancelled: int = counter("repro_serve_jobs_cancelled_total", "Jobs cancelled by their caller.")
+    tiles_rendered: int = counter(
+        "repro_serve_tiles_rendered_total", "Tile renders applied (duplicates excluded).")
+    dropped_tile_results: int = counter(
+        "repro_serve_tile_results_dropped_total", "Tile completions dropped (late, duplicate).")
+    worker_respawns: int = counter(
+        "repro_serve_worker_respawns_total", "Dead pool workers replaced by the supervisor.",
+        source="backend.worker_respawns")
+    redispatched_tiles: int = counter(
+        "repro_serve_tiles_redispatched_total", "In-flight tiles re-sent after a worker died.",
+        source="backend.redispatched_tiles")
+    hedged_tiles: int = counter(
+        "repro_serve_tiles_hedged_total", "Speculative duplicate dispatches of slow tiles.",
+        source="backend.hedged_tiles")
+    stolen_keys: int = counter(
+        "repro_serve_keys_stolen_total", "Affinity keys migrated off a saturated worker.",
+        source="backend.stolen_keys")
+    host_losses: int = counter(
+        "repro_serve_host_losses_total", "Remote hosts declared dead (EOF, torn frame, heartbeat).",
+        source="backend.host_losses")
+    host_reconnects: int = counter(
+        "repro_serve_host_reconnects_total",
+        "Remote host connections re-established after a loss.",
+        source="backend.host_reconnects")
+    local_fallback_tiles: int = counter(
+        "repro_serve_tiles_local_fallback_total", "Tiles rendered on the local fallback shard.",
+        source="backend.local_fallback_tiles")
+    dropped_backend_events: int = counter(
+        "repro_serve_backend_events_dropped_total",
+        "Elasticity events evicted from the bounded ring.",
+        source="backend.dropped_events")
+    store_hits: int = counter(
+        "repro_serve_store_hits_total", "Bundle requests served from residency.",
+        source="store.hits")
+    store_misses: int = counter(
+        "repro_serve_store_misses_total", "Bundle requests that forced a build.",
+        source="store.misses")
+    store_evictions: int = counter(
+        "repro_serve_store_evictions_total", "Bundles evicted by the store's LRU budget.",
+        source="store.evictions")
+    cache_hits: int = counter(
+        "repro_serve_cache_hits_total", "Tiles served from the content-addressed cache.",
+        source="cache.hits")
+    cache_misses: int = counter(
+        "repro_serve_cache_misses_total", "Tile cache lookups that went to the backend.",
+        source="cache.misses")
+    cache_evictions: int = counter(
+        "repro_serve_cache_evictions_total", "Tiles evicted by the cache's LRU byte budget.",
+        source="cache.evictions")
+    deduped_tiles: int = counter(
+        "repro_serve_tiles_deduped_total", "Tiles attached to an identical in-flight dispatch.")
+    num_rays: int = counter(
+        "repro_serve_rays_rendered_total", "Rays rendered across all tiles.",
+        source="render.num_rays")
+    rejected_over_cost: int = counter(
+        "repro_serve_jobs_rejected_over_cost_total",
+        "Jobs refused because they did not fit the admission cost budget.")
+    demoted_over_cost: int = counter(
+        "repro_serve_jobs_demoted_over_cost_total",
+        "Jobs admitted at LOW priority because they did not fit the cost budget.")
+    ooo_completions: int = counter(
+        "repro_serve_tiles_out_of_order_total",
+        "Tiles applied after a later tile of the same job.")
+    num_culled_samples: int = counter(
+        "repro_serve_samples_culled_total", "Ray samples culled by the occupancy index.",
+        source="render.num_culled_samples")
+    num_skipped_rays: int = counter(
+        "repro_serve_rays_skipped_total", "Rays answered as background without a field query.",
+        source="render.num_skipped_rays")
+    busy_s: float = counter(
+        "repro_serve_busy_seconds_total", "Worker seconds spent rendering and building bundles.",
+        default=0.0)
+    cache_insertions: int = counter(
+        "repro_serve_cache_insertions_total", "Tiles inserted into the content-addressed cache.",
+        source="cache.insertions")
+
+    queue_depth: int = gauge("repro_serve_queue_depth", "Jobs currently queued or mid-render.")
+    pending_cost: float = gauge(
+        "repro_serve_pending_cost", "Summed admission-cost estimate of unfinished jobs.",
+        default=0.0)
+    resident_bundles: int = gauge(
+        "repro_serve_resident_bundles", "Scene bundles currently resident in the store.",
+        source="store.resident_entries")
+    resident_bytes: int = gauge(
+        "repro_serve_resident_bytes", "Estimated bytes of resident scene bundles.",
+        source="store.resident_bytes")
+    cache_entries: int = gauge(
+        "repro_serve_cache_entries", "Tiles resident in the content-addressed cache.",
+        source="cache.entries")
+    cache_bytes: int = gauge(
+        "repro_serve_cache_bytes", "Bytes of resident cached tiles.",
+        source="cache.resident_bytes")
+    worker_utilization: List[float] = gauge(
+        "repro_serve_worker_utilization", "Per-worker busy fraction since the first dispatch.",
+        label="worker", default_factory=list)
+    throughput_rays_per_s: float = gauge(
+        "repro_serve_throughput_rays_per_s",
+        "Busy-time-normalized ray throughput (per-worker efficiency).", default=0.0)
+    throughput_rays_per_s_wall: float = gauge(
+        "repro_serve_throughput_rays_per_s_wall",
+        "Wall-clock-normalized ray throughput (serving capacity).", default=0.0)
+
     latency_p50_s: float = float("nan")
     latency_p95_s: float = float("nan")
     latency_p99_s: float = float("nan")
@@ -139,35 +210,24 @@ class ServerStats:
     queue_wait_p95_s: float = float("nan")
     queue_wait_p99_s: float = float("nan")
     stage_breakdown: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    vertex_reuse_ratio: float = 1.0
-    backend: str = "serial"
-    num_workers: int = 1
-    worker_utilization: List[float] = field(default_factory=list)
-    store_hits: int = 0
-    store_misses: int = 0
-    store_hit_rate: float = 1.0
-    store_evictions: int = 0
-    resident_bundles: int = 0
-    resident_bytes: int = 0
-    #: Tile-cache counters (all zero while the server runs with the cache
-    #: off).  ``cache_hits`` are tiles served straight from the
-    #: content-addressed cache without touching the backend;
-    #: ``deduped_tiles`` are tiles that attached to an identical in-flight
-    #: dispatch of another job instead of dispatching their own.  Cache-hit
-    #: *latency* lives in ``stage_breakdown["cache_hit"]``.
+    vertex_reuse_ratio: float = _sourced("render.vertex_reuse_ratio", 1.0)
+    backend: str = _sourced("backend.name", "serial")
+    num_workers: int = _sourced("backend.num_workers", 1)
+    store_hit_rate: float = _sourced("store.hit_rate", 1.0)
     cache_enabled: bool = False
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_hit_rate: float = 0.0
-    cache_insertions: int = 0
-    cache_evictions: int = 0
-    cache_entries: int = 0
-    cache_bytes: int = 0
-    deduped_tiles: int = 0
+    cache_hit_rate: float = _sourced("cache.hit_rate", 0.0)
 
     def as_dict(self) -> Dict[str, float]:
         """JSON-ready flat mapping (what ``BENCH_serve.json`` stores)."""
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
+
+#: ``(field, source object, attribute)`` of every field a snapshot pulls.
+_SOURCED = [
+    (spec.name, *spec.metadata["source"].split("."))
+    for spec in fields(ServerStats)
+    if spec.metadata.get("source")
+]
 
 
 def _stage_histograms() -> Dict[str, StreamingHistogram]:
@@ -178,33 +238,21 @@ def _stage_histograms() -> Dict[str, StreamingHistogram]:
 class Telemetry:
     """Accumulates per-tile and per-job observations for :class:`ServerStats`.
 
-    Distributions live in the bounded ``stages`` histograms (see the module
-    docstring); everything else is a plain lifetime counter.
+    Lifetime counters are plain attribute adds on ``stats``; distributions
+    live in the bounded ``stages`` histograms (see the module docstring).
     """
 
-    submitted: int = 0
-    completed: int = 0
-    rejected: int = 0
-    rejected_over_cost: int = 0
-    demoted_over_cost: int = 0
-    expired: int = 0
-    failed: int = 0
-    cancelled: int = 0
-    tiles_rendered: int = 0
-    ooo_completions: int = 0
-    dropped_tile_results: int = 0
-    deduped_tiles: int = 0
-    busy_s: float = 0.0
+    stats: ServerStats = field(default_factory=ServerStats)
     render_stats: RenderStats = field(default_factory=RenderStats)
     stages: Dict[str, StreamingHistogram] = field(default_factory=_stage_histograms)
     worker_busy_s: Dict[int, float] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
-    def record_tile(self, stats: RenderStats, service_s: float, worker_id: int = 0) -> None:
+    def record_tile(self, render: RenderStats, service_s: float, worker_id: int = 0) -> None:
         """Fold one rendered tile's counters and service time in."""
-        self.tiles_rendered += 1
-        self.busy_s += service_s
-        self.render_stats.merge(stats)
+        self.stats.tiles_rendered += 1
+        self.stats.busy_s += service_s
+        self.render_stats.merge(render)
         self.stages["render"].observe(service_s)
         self.worker_busy_s[worker_id] = self.worker_busy_s.get(worker_id, 0.0) + service_s
 
@@ -220,14 +268,14 @@ class Telemetry:
 
     def record_build(self, build_s: float, worker_id: int = 0) -> None:
         """Bundle construction is service time too (it blocks its worker)."""
-        self.busy_s += build_s
+        self.stats.busy_s += build_s
         self.stages["build"].observe(build_s)
         self.worker_busy_s[worker_id] = self.worker_busy_s.get(worker_id, 0.0) + build_s
 
     def record_completion(
         self, latency_s: float, queue_wait_s: float, reassemble_s: float = 0.0
     ) -> None:
-        self.completed += 1
+        self.stats.completed += 1
         self.stages["latency"].observe(latency_s)
         self.stages["queue_wait"].observe(queue_wait_s)
         if reassemble_s > 0.0:
@@ -240,95 +288,44 @@ class Telemetry:
     # ------------------------------------------------------------------
     def snapshot(
         self,
-        queue_depth: int,
-        store_stats: Optional[SceneStoreStats] = None,
-        backend: str = "serial",
-        num_workers: int = 1,
         wall_s: Optional[float] = None,
-        pending_cost: float = 0.0,
-        worker_respawns: int = 0,
-        redispatched_tiles: int = 0,
-        hedged_tiles: int = 0,
-        stolen_keys: int = 0,
-        host_losses: int = 0,
-        host_reconnects: int = 0,
-        local_fallback_tiles: int = 0,
-        dropped_backend_events: int = 0,
-        cache_stats: Optional[TileCacheStats] = None,
+        sources: Optional[Dict[str, object]] = None,
+        **instant,
     ) -> ServerStats:
         """Aggregate everything recorded so far into one :class:`ServerStats`.
 
-        ``wall_s`` is the elapsed wall time the per-worker utilizations and
-        ``throughput_rays_per_s_wall`` are normalized by; ``None`` (or a
-        zero wall) reports zero utilization rather than dividing by nothing.
+        Fields declared with a ``source`` read it from ``sources`` (the
+        server passes its ``backend`` and the ``store`` and ``cache`` stats;
+        ``render`` is this accumulator's merged :class:`RenderStats`); a
+        missing or ``None`` source leaves its fields at their defaults.
+        ``instant`` sets values only the caller knows, such as
+        ``queue_depth``.  ``wall_s`` is the elapsed wall time the per-worker
+        utilizations and ``throughput_rays_per_s_wall`` are normalized by;
+        ``None`` (or a zero wall) reports zeros rather than dividing by
+        nothing.
         """
-        utilization = [
-            (self.worker_busy_s.get(worker, 0.0) / wall_s) if wall_s else 0.0
-            for worker in range(num_workers)
-        ]
-        latency = self.stages["latency"]
-        queue_wait = self.stages["queue_wait"]
-        stats = ServerStats(
-            submitted=self.submitted,
-            completed=self.completed,
-            rejected=self.rejected,
-            rejected_over_cost=self.rejected_over_cost,
-            demoted_over_cost=self.demoted_over_cost,
-            expired=self.expired,
-            failed=self.failed,
-            cancelled=self.cancelled,
-            queue_depth=queue_depth,
-            pending_cost=pending_cost,
-            tiles_rendered=self.tiles_rendered,
-            ooo_completions=self.ooo_completions,
-            dropped_tile_results=self.dropped_tile_results,
-            deduped_tiles=self.deduped_tiles,
-            worker_respawns=worker_respawns,
-            redispatched_tiles=redispatched_tiles,
-            hedged_tiles=hedged_tiles,
-            stolen_keys=stolen_keys,
-            host_losses=host_losses,
-            host_reconnects=host_reconnects,
-            local_fallback_tiles=local_fallback_tiles,
-            dropped_backend_events=dropped_backend_events,
-            num_rays=self.render_stats.num_rays,
-            num_culled_samples=self.render_stats.num_culled_samples,
-            num_skipped_rays=self.render_stats.num_skipped_rays,
-            busy_s=self.busy_s,
-            throughput_rays_per_s=(
-                self.render_stats.num_rays / self.busy_s if self.busy_s > 0 else 0.0
-            ),
-            throughput_rays_per_s_wall=(
-                self.render_stats.num_rays / wall_s if wall_s else 0.0
-            ),
-            latency_p50_s=latency.percentile(50),
-            latency_p95_s=latency.percentile(95),
-            latency_p99_s=latency.percentile(99),
-            queue_wait_p50_s=queue_wait.percentile(50),
-            queue_wait_p95_s=queue_wait.percentile(95),
-            queue_wait_p99_s=queue_wait.percentile(99),
+        objects = {"render": self.render_stats, **(sources or {})}
+        pulled = {
+            name: getattr(objects[owner], attr)
+            for name, owner, attr in _SOURCED
+            if objects.get(owner) is not None
+        }
+        stats = replace(self.stats, **{**pulled, **instant})
+        percentiles = {
+            f"{stage}_p{q}_s": self.stages[stage].percentile(q)
+            for stage in ("latency", "queue_wait")
+            for q in (50, 95, 99)
+        }
+        return replace(
+            stats,
+            throughput_rays_per_s=stats.num_rays / stats.busy_s if stats.busy_s > 0 else 0.0,
+            throughput_rays_per_s_wall=stats.num_rays / wall_s if wall_s else 0.0,
+            worker_utilization=[
+                (self.worker_busy_s.get(worker, 0.0) / wall_s) if wall_s else 0.0
+                for worker in range(stats.num_workers)
+            ],
             stage_breakdown={
                 stage: histogram.summary() for stage, histogram in self.stages.items()
             },
-            vertex_reuse_ratio=self.render_stats.vertex_reuse_ratio,
-            backend=backend,
-            num_workers=num_workers,
-            worker_utilization=utilization,
+            **percentiles,
         )
-        if store_stats is not None:
-            stats.store_hits = store_stats.hits
-            stats.store_misses = store_stats.misses
-            stats.store_hit_rate = store_stats.hit_rate
-            stats.store_evictions = store_stats.evictions
-            stats.resident_bundles = store_stats.resident_entries
-            stats.resident_bytes = store_stats.resident_bytes
-        if cache_stats is not None:
-            stats.cache_enabled = True
-            stats.cache_hits = cache_stats.hits
-            stats.cache_misses = cache_stats.misses
-            stats.cache_hit_rate = cache_stats.hit_rate
-            stats.cache_insertions = cache_stats.insertions
-            stats.cache_evictions = cache_stats.evictions
-            stats.cache_entries = cache_stats.entries
-            stats.cache_bytes = cache_stats.resident_bytes
-        return stats

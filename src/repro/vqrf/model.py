@@ -175,10 +175,8 @@ class VQRFField:
         self.num_view_frequencies = num_view_frequencies
         self.last_stats = self._dense_field.last_stats
 
-    def query(self, points: np.ndarray, view_dirs: np.ndarray, encoded_dirs=None, active_mask=None):
-        density, rgb = self._dense_field.query(
-            points, view_dirs, encoded_dirs=encoded_dirs, active_mask=active_mask
-        )
+    def query(self, points: np.ndarray, view_dirs: np.ndarray, encoded_dirs=None):
+        density, rgb = self._dense_field.query(points, view_dirs, encoded_dirs=encoded_dirs)
         self.last_stats = self._dense_field.last_stats
         return density, rgb
 

@@ -231,18 +231,6 @@ class TestBitIdentity:
         assert np.allclose(on.image, off.image, atol=1e-2)
         assert on.stats.num_culled_samples > 0
 
-    def test_active_mask_query_is_bit_identical(self, occ_scene, rng):
-        field = build_field("dense", occ_scene, OCC_CONFIG)
-        index = build_occupancy_index(field)
-        points = rng.uniform(-1.2, 1.2, size=(256, 3))
-        dirs = np.tile([[0.0, 0.0, 1.0]], (256, 1))
-        d_full, rgb_full = field.query(points, dirs)
-        full_lookups = field.last_stats.num_vertex_lookups
-        d_masked, rgb_masked = field.query(points, dirs, active_mask=index.point_mask(points))
-        assert d_masked.tobytes() == d_full.tobytes()
-        assert rgb_masked.tobytes() == rgb_full.tobytes()
-        assert field.last_stats.num_vertex_lookups <= full_lookups
-
     def test_stats_surface_through_as_dict(self, engines):
         summary = engines["vqrf"].render(RenderRequest(camera_indices=(0,))).as_dict()
         assert summary["num_culled_samples"] > 0

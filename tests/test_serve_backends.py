@@ -24,12 +24,19 @@ tests fork workers that rebuild them in well under a second.
 
 from __future__ import annotations
 
+import contextlib
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.api import PipelineConfig, SpNeRFConfig, available_pipelines
+from repro.api import (
+    PipelineConfig,
+    SpNeRFConfig,
+    available_pipelines,
+    register_pipeline,
+    unregister_pipeline,
+)
 from repro.serve import (
     JobState,
     Priority,
@@ -45,6 +52,7 @@ from repro.serve import (
     plan_tiles,
 )
 from repro.serve.backends import ExecutionBackend, _execute_tile
+from repro.serve.remote import LocalHostCluster
 
 #: Small-but-real pipeline configuration shared by every store in this module.
 SERVE_CONFIG = PipelineConfig(
@@ -193,6 +201,36 @@ def test_execute_tile_reports_errors_as_results(warm_store):
     result = _execute_tile(warm_store, bad, worker_id=5)
     assert result.error is not None and "no-such-pipeline" in result.error
     assert result.worker_id == 5 and result.image is None
+
+
+def _load_corrupt_checkpoint(scene, config):
+    raise ValueError(f"checkpoint for {scene.name} is truncated")
+
+
+@pytest.mark.parametrize("backend_name", ["serial", "process", "remote"])
+def test_failed_job_error_carries_worker_traceback(backend_name):
+    """A worker-side failure reaches the job, and its trace, with the frame
+    that raised — not just ``"Type: message"`` — across process and host
+    boundaries."""
+    register_pipeline("corrupt", description="raises while building")(_load_corrupt_checkpoint)
+    try:
+        with contextlib.ExitStack() as stack:
+            if backend_name == "remote":
+                cluster = stack.enter_context(LocalHostCluster(1))
+                backend = make_backend("remote", hosts=cluster.addresses)
+            else:
+                backend = make_backend(backend_name)
+            server = stack.enter_context(RenderServer(make_store(), backend=backend))
+            job = server.submit("lego", "corrupt")
+            server.run_until_idle()
+            view = server.poll(job)
+            failed = [e for e in server.tracer.get(job).events if e.name == "failed"]
+    finally:
+        unregister_pipeline("corrupt")
+    assert view.state is JobState.FAILED
+    assert view.error.startswith("ValueError: checkpoint for lego is truncated\n")
+    assert "_load_corrupt_checkpoint" in view.error
+    assert "_load_corrupt_checkpoint" in failed[0].attrs["error"]
 
 
 # ----------------------------------------------------------------------

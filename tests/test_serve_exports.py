@@ -127,6 +127,42 @@ EDGE_STATS_KEYS = {
     "per_client_queue_depth", "per_client_in_flight",
 }
 
+#: Every lifetime counter of ``ServerStats`` and the family exporting it.
+COUNTER_FAMILIES = {
+    "submitted": "repro_serve_jobs_submitted_total",
+    "completed": "repro_serve_jobs_completed_total",
+    "rejected": "repro_serve_jobs_rejected_total",
+    "rejected_over_cost": "repro_serve_jobs_rejected_over_cost_total",
+    "demoted_over_cost": "repro_serve_jobs_demoted_over_cost_total",
+    "expired": "repro_serve_jobs_expired_total",
+    "failed": "repro_serve_jobs_failed_total",
+    "cancelled": "repro_serve_jobs_cancelled_total",
+    "tiles_rendered": "repro_serve_tiles_rendered_total",
+    "ooo_completions": "repro_serve_tiles_out_of_order_total",
+    "dropped_tile_results": "repro_serve_tile_results_dropped_total",
+    "worker_respawns": "repro_serve_worker_respawns_total",
+    "redispatched_tiles": "repro_serve_tiles_redispatched_total",
+    "hedged_tiles": "repro_serve_tiles_hedged_total",
+    "stolen_keys": "repro_serve_keys_stolen_total",
+    "host_losses": "repro_serve_host_losses_total",
+    "host_reconnects": "repro_serve_host_reconnects_total",
+    "local_fallback_tiles": "repro_serve_tiles_local_fallback_total",
+    "dropped_backend_events": "repro_serve_backend_events_dropped_total",
+    "num_rays": "repro_serve_rays_rendered_total",
+    "num_culled_samples": "repro_serve_samples_culled_total",
+    "num_skipped_rays": "repro_serve_rays_skipped_total",
+    "busy_s": "repro_serve_busy_seconds_total",
+    "store_hits": "repro_serve_store_hits_total",
+    "store_misses": "repro_serve_store_misses_total",
+    "store_evictions": "repro_serve_store_evictions_total",
+    "cache_hits": "repro_serve_cache_hits_total",
+    "cache_misses": "repro_serve_cache_misses_total",
+    "cache_insertions": "repro_serve_cache_insertions_total",
+    "cache_evictions": "repro_serve_cache_evictions_total",
+    "deduped_tiles": "repro_serve_tiles_deduped_total",
+}
+
+
 def make_store() -> SceneStore:
     config = PipelineConfig(
         spnerf=SpNeRFConfig(num_subgrids=4, hash_table_size=256, codebook_size=16),
@@ -168,3 +204,16 @@ def test_stats_key_sets_are_pinned(served):
     # The nested key the serving benchmark differences across its window.
     assert stats.as_dict()["stage_breakdown"]["build"]["count"] >= 1
 
+
+def test_every_lifetime_counter_has_a_metrics_family(served):
+    stats, families = served
+    samples = {}
+    for family in families:
+        for line in family[2:]:
+            name, value = line.rsplit(" ", 1)
+            samples[name] = float(value)
+    as_dict = stats.as_dict()
+    assert stats.cache_insertions > 0 and stats.cache_hits > 0 and stats.busy_s > 0
+    for key, family in COUNTER_FAMILIES.items():
+        assert family in samples, f"{key} has no /v1/metrics family"
+        assert samples[family] == pytest.approx(as_dict[key]), key

@@ -296,7 +296,7 @@ def test_http_rate_limit_answers_429_with_retry_after(store):
         assert second.json()["retry_after_s"] > 0
         assert int(second.headers["retry-after"]) >= 1
         assert other.status == 202  # rate limits are per client identity
-        assert edge.telemetry.rate_limited_429 == 1
+        assert edge.telemetry.stats.rate_limited_429 == 1
 
 
 def test_http_admission_reject_answers_429_with_retry_after(store):
@@ -315,7 +315,7 @@ def test_http_admission_reject_answers_429_with_retry_after(store):
         assert rejected.json()["state"] == "rejected"
         assert int(rejected.headers["retry-after"]) >= 1
         assert view.json()["state"] == "rejected"  # the job is still pollable
-        assert edge.telemetry.admission_429 == 1
+        assert edge.telemetry.stats.admission_429 == 1
 
 
 def test_http_queue_depth_cap_answers_429(store):
@@ -346,7 +346,7 @@ def test_http_queue_depth_cap_answers_429(store):
         assert third.status == 429
         assert third.json()["error"] == "queue_full"
         assert second.status == 202  # the queued one is eventually admitted
-        assert edge.telemetry.queue_full_429 == 1
+        assert edge.telemetry.stats.queue_full_429 == 1
 
 
 def test_http_cancel_endpoint_cancels_running_job(store):
