@@ -45,7 +45,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api import PipelineConfig, SpNeRFConfig  # noqa: E402  (path bootstrap above)
 from repro.serve import (  # noqa: E402
-    BACKEND_NAMES,
     PROMETHEUS_CONTENT_TYPE,
     SPAN_NAMES,
     RenderServer,
@@ -331,7 +330,9 @@ def validate_job_trace(doc: dict, job_id: str) -> List[str]:
 
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--backend", default="serial", choices=sorted(BACKEND_NAMES))
+    # "remote" needs hosts=, which this check does not take; "process" runs
+    # the same agent wire path over loopback agents of its own.
+    parser.add_argument("--backend", default="serial", choices=("serial", "process"))
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--jobs", type=int, default=4, help="render jobs to trace")
     parser.add_argument(

@@ -10,16 +10,16 @@ repo root, next to ``BENCH_render.json``:
   latency and queue-wait percentiles under uncoordinated traffic.
 
 Both loops run on the execution backend picked by ``--backend`` (serial,
-thread or process — see :mod:`repro.serve.backends`), and a **backend
+process or remote — see :mod:`repro.serve.backends`), and a **backend
 comparison** section replays the same closed-loop workload under the serial
-and process-pool backends on warmed stores, reporting the wall-clock
-throughput of each and the pool's speedup (guarded by
+and process backends on warmed stores, reporting the wall-clock throughput
+of each and the process backend's speedup (guarded by
 ``--min-pool-speedup``).
 
 Before any timing, one frame is rendered through the server (tile-sharded,
 scheduled) under *every* backend and compared bitwise against the same frame
 rendered directly by the bundle's :class:`~repro.api.RenderEngine` — the
-serve layer must be a scheduler, not a new renderer, and a process worker's
+serve layer must be a scheduler, not a new renderer, and a host agent's
 rebuilt bundle must render the very same bits.  A mismatch fails the run.
 
 With ``--http`` the run also stands up the :mod:`repro.serve.http` front end
@@ -39,8 +39,8 @@ to a direct engine render (cached tiles are exact or they are a bug), and
 the warm replay must beat cold by ``--min-cache-speedup``.
 
 With ``--chaos`` the run adds a fault-injection section: the same closed-loop
-workload replayed on a process pool whose :class:`~repro.serve.FaultPlan`
-kills one worker mid-job and poisons one bundle build, with hedging and work
+workload replayed on the process backend whose :class:`~repro.serve.FaultPlan`
+kills one agent mid-job and poisons one bundle build, with hedging and work
 stealing armed.  The section records how many jobs completed under fault,
 the respawn/redispatch/hedge/steal counters, and guards that every admitted
 job finished bit-identically — only the deliberately poisoned job may fail,
@@ -80,7 +80,6 @@ from repro.serve import (  # noqa: E402
     FaultPlan,
     JobState,
     LocalHostCluster,
-    ProcessPoolBackend,
     RenderServer,
     SceneStore,
     ServeResult,
@@ -152,7 +151,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument(
         "--chaos",
         action="store_true",
-        help="add a fault-injection section (worker kill + poisoned build on a process pool)",
+        help="add a fault-injection section (agent kill + poisoned build on the process backend)",
     )
     parser.add_argument(
         "--cache",
@@ -191,7 +190,7 @@ def parse_args(argv=None) -> argparse.Namespace:
         type=float,
         default=None,
         metavar="X",
-        help="fail when the process pool's closed-loop throughput is below X times serial",
+        help="fail when the process backend's closed-loop throughput is below X times serial",
     )
     parser.add_argument(
         "--http",
@@ -586,9 +585,9 @@ def run_remote_chaos_section(config: dict, args: argparse.Namespace) -> dict:
 
 
 def run_chaos_section(config: dict, args: argparse.Namespace) -> dict:
-    """Replay the closed-loop workload on a process pool under injected fault.
+    """Replay the closed-loop workload on the process backend under injected fault.
 
-    The :class:`FaultPlan` kills worker 0 after a few tiles and poisons the
+    The :class:`FaultPlan` kills agent 0 after a few tiles and poisons the
     bundle build of one key the workload does not use; hedging and work
     stealing are armed.  One extra job for the poisoned key is submitted on
     top of the workload.  The section records terminal-state counts, the
@@ -607,9 +606,10 @@ def run_chaos_section(config: dict, args: argparse.Namespace) -> dict:
     workload_pipeline = pipelines[0]
     poison_key = (scenes[0], pipelines[-1]) if len(pipelines) > 1 else None
     plan = FaultPlan(kill_worker=0, kill_after_tiles=3, poison_key=poison_key)
-    backend = ProcessPoolBackend(
+    backend = make_backend(
+        "process",
         num_workers=args.workers or 2,
-        queue_depth=args.queue_depth if args.queue_depth is not None else 2,
+        queue_depth=args.queue_depth,
         fault_plan=plan,
         hedge_multiplier=4.0,
         steal_interval_s=0.25,

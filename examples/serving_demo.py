@@ -9,7 +9,7 @@ Shows the :mod:`repro.serve` subsystem end to end:
    high-priority request that overtakes the queue, and a request with a
    deadline too tight to meet,
 3. pump the scheduler over the chosen execution backend (``--backend
-   serial|thread|process``), streaming one job's tiles as they complete,
+   serial|process``), streaming one job's tiles as they complete,
    then read frames, PSNR and latency off the results and print the
    server's telemetry snapshot (per-worker utilization included).
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 
 from repro.api import PipelineConfig, SpNeRFConfig
-from repro.serve import BACKEND_NAMES, JobState, Priority, RenderServer, SceneStore, make_backend
+from repro.serve import JobState, Priority, RenderServer, SceneStore, make_backend
 
 
 def main() -> None:
@@ -31,7 +31,8 @@ def main() -> None:
     parser.add_argument("--budget-mb", type=float, default=24.0, help="scene-store budget (MB)")
     parser.add_argument("--tile-size", type=int, default=512, help="pixels per tile job")
     parser.add_argument(
-        "--backend", choices=BACKEND_NAMES, default="serial", help="execution backend"
+        "--backend", choices=("serial", "process"), default="serial",
+        help="execution backend (remote hosts: see remote_serving_demo.py)",
     )
     parser.add_argument("--workers", type=int, default=None, help="pool worker count")
     args = parser.parse_args()

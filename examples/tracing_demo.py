@@ -24,7 +24,7 @@ import json
 from pathlib import Path
 
 from repro.api import PipelineConfig, SpNeRFConfig
-from repro.serve import BACKEND_NAMES, RenderServer, SceneStore, make_backend
+from repro.serve import RenderServer, SceneStore, make_backend
 
 
 def main() -> None:
@@ -32,7 +32,8 @@ def main() -> None:
     parser.add_argument("--resolution", type=int, default=32, help="voxel grid resolution")
     parser.add_argument("--image-size", type=int, default=40, help="rendered image side (pixels)")
     parser.add_argument(
-        "--backend", choices=BACKEND_NAMES, default="serial", help="execution backend"
+        "--backend", choices=("serial", "process"), default="serial",
+        help="execution backend (remote hosts: see remote_serving_demo.py)",
     )
     parser.add_argument("--workers", type=int, default=2, help="pool worker count")
     parser.add_argument("--jobs", type=int, default=4, help="jobs to render and trace")

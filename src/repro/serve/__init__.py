@@ -28,26 +28,26 @@ Seven layers, one module each:
   serves hits without touching the backend and collapses identical
   in-flight tiles across concurrent jobs into one dispatch.
 * :mod:`~repro.serve.backends` — where tiles execute:
-  :class:`SerialBackend` (deterministic, default),
-  :class:`ThreadPoolBackend` (shared store, GIL-bound), and
-  :class:`ProcessPoolBackend` (shared-nothing store shards, tiles routed by
-  ``(scene, pipeline)`` affinity — true parallelism).  The process pool is
-  self-healing and elastic: dead workers respawn from the store spec with
-  their in-flight tiles re-dispatched, slow tiles are speculatively hedged,
-  hot keys migrate to idle shards, and a :class:`FaultPlan` injects
-  reproducible chaos (kill / poison / delay, plus remote-only network
-  faults) for the failure tests.
-* :mod:`~repro.serve.remote` — the same contract across the *host*
-  boundary: :class:`RemoteBackend` schedules tiles over a stdlib-only TCP
-  transport (length-prefixed, versioned frames; a schema skew fails with a
-  typed :class:`WireVersionError`) to :class:`RemoteHostAgent` processes
-  that rebuild their shard from the picklable store spec.  Heartbeats
-  declare silent hosts dead, their in-flight tiles redispatch to survivors
-  through the outstanding-tile table, reconnects back off exponentially
-  with deterministic jitter, torn frames are detected and never parsed,
-  and ``local_fallback=`` degrades to in-process rendering when every host
-  is gone — frames stay bit-identical throughout.
-  :class:`LocalHostCluster` forks loopback agents for tests and demos.
+  :class:`SerialBackend` (deterministic, default) or the out-of-process
+  :class:`RemoteBackend` (``"process"`` / ``"remote"``), behind one
+  ``submit``/``collect`` contract; a :class:`FaultPlan` injects
+  reproducible chaos (kill / poison / delay / drop / partition) for the
+  failure tests.
+* :mod:`~repro.serve.remote` — the one out-of-process path:
+  :class:`RemoteBackend` schedules tiles over a stdlib-only TCP transport
+  (length-prefixed, versioned frames; a schema skew fails with a typed
+  :class:`WireVersionError`) to :class:`RemoteHostAgent` processes that
+  rebuild shard-local stores from the picklable store spec, with tiles
+  routed by ``(scene, pipeline)`` affinity.  ``"process"`` forks its own
+  loopback agents (:class:`LocalHostCluster`) and re-forks one whose
+  process dies; ``"remote"`` dials agents run elsewhere.  Either way it is
+  self-healing and elastic: heartbeats declare silent hosts dead, their
+  in-flight tiles redispatch to survivors through the outstanding-tile
+  table, reconnects back off exponentially with deterministic jitter,
+  torn frames are detected and never parsed, slow tiles are speculatively
+  hedged, hot keys migrate to idle shards, and ``local_fallback=``
+  degrades to in-process rendering when every host is gone — frames stay
+  bit-identical throughout.
 * :mod:`~repro.serve.server` — :class:`RenderServer`: a pure scheduler with
   submit/poll/result, priority + FIFO queues with per-tile round-robin,
   count- and cost-based admission (priced by the hardware layer's
@@ -79,9 +79,7 @@ from repro.serve.backends import (
     BackendEvent,
     ExecutionBackend,
     FaultPlan,
-    ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
     TileResult,
     TileTask,
     make_backend,
@@ -172,8 +170,6 @@ __all__ = [
     # backends
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadPoolBackend",
-    "ProcessPoolBackend",
     "TileTask",
     "TileResult",
     "FaultPlan",

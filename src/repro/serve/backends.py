@@ -4,77 +4,41 @@ The :class:`~repro.serve.server.RenderServer` is a pure scheduler — it plans
 tiles, decides their order, and collects completions.  *Executing* a tile is
 this module's job, behind one small contract (:class:`ExecutionBackend`):
 ``submit`` takes a picklable :class:`TileTask`, ``collect`` returns finished
-:class:`TileResult`\\ s, possibly out of submission order.  Three backends
+:class:`TileResult`\\ s, possibly out of submission order.  Two backends
 implement it:
 
 * :class:`SerialBackend` — renders on the scheduler's own thread at submit
   time.  One tile in flight, results in order: exactly the deterministic
   cooperative loop earlier revisions hard-wired into the server, and still
   the default.
-* :class:`ThreadPoolBackend` — a pool of worker threads sharing the server's
-  :class:`~repro.serve.store.SceneStore` (bundle builds are serialized by a
-  lock).  The renderer is numpy/BLAS-bound, so threads overlap the fraction
-  of the work that releases the GIL; gains are modest and workload-dependent.
-* :class:`ProcessPoolBackend` — shared-nothing worker processes, each owning
-  its *own* store shard built from the parent store's picklable
-  :meth:`~repro.serve.store.SceneStore.spec` (bundles are rebuilt in the
-  worker, never pickled — scene generation, compression and preprocessing
-  are deterministic in the scene name and config, so a worker's bundle
-  renders bit-identical frames).  This is the backend that actually
-  parallelizes Python-heavy rendering.
+* :class:`~repro.serve.remote.RemoteBackend` (in :mod:`repro.serve.remote`)
+  — the one out-of-process path.  It ships tasks over TCP to
+  :class:`~repro.serve.remote.RemoteHostAgent` processes, each owning its
+  *own* store shard rebuilt from the parent store's picklable
+  :meth:`~repro.serve.store.SceneStore.spec` (bundles are rebuilt, never
+  pickled — scene generation, compression and preprocessing are
+  deterministic in the scene name and config, so a shard renders
+  bit-identical frames).  ``make_backend("process", num_workers=N)`` forks
+  N loopback agents of its own; ``make_backend("remote", hosts=...)`` dials
+  agents that run elsewhere.
 
-Tiles route to pool workers by ``(scene, pipeline)`` **affinity**: the first
-tile of a key picks the least-loaded worker and every later tile follows it.
-That keeps each bundle resident in exactly one shard (no duplicate builds,
-per-shard memory budgets add up to the operator's budget) and guarantees no
-two workers ever render the same engine concurrently — which is also what
-makes the thread backend safe, since engines and their fields keep per-render
-scratch state.
+Bit-identity holds across backends because a tile renders as a single
+contiguous ray batch (:func:`repro.api.render_tile`) regardless of who
+executes it; see :mod:`repro.serve.tiles` for why batch geometry is the only
+thing the bits depend on.  Tile renders are deterministic in ``(scene,
+pipeline, camera, span)``, so a duplicate completion of any tile is
+byte-identical to the first and safely droppable — which is what makes the
+remote backend's failover, respawn, hedging and work stealing safe by
+construction.
 
-Bit-identity holds across all three backends because a tile renders as a
-single contiguous ray batch (:func:`repro.api.render_tile`) regardless of
-who executes it; see :mod:`repro.serve.tiles` for why batch geometry is the
-only thing the bits depend on.
-
-**Elasticity.**  Tile renders are deterministic in ``(scene, pipeline,
-camera, span)``, so a duplicate completion of any tile is byte-identical to
-the first and safely droppable — which makes every failure-tolerance
-mechanism here safe by construction.  The process pool uses that freedom
-three ways, all driven from a supervision sweep that runs on every
-:meth:`~ExecutionBackend.collect` and once per server step via
-:meth:`~ExecutionBackend.maintain`:
-
-* **supervision + respawn** — a dead worker process is replaced by a fresh
-  one rebuilt from the picklable :class:`~repro.serve.store.SceneStoreSpec`,
-  and every tile that was resident on the dead shard is re-dispatched to the
-  replacement (``worker_respawns`` / ``redispatched_tiles``);
-* **speculative hedging** — a tile in flight longer than a configurable
-  multiple of its key's observed p95 service time is duplicated onto the
-  least-loaded other worker; the first completion wins and the loser is
-  dropped by the scheduler (``hedged_tiles``);
-* **work stealing** — when one shard is saturated while another sits idle,
-  the hottest ``(scene, pipeline)`` key migrates its affinity to the idle
-  worker, at a bounded rate so bundles don't thrash (``stolen_keys``).
-
-Reproducible chaos is injected with a :class:`FaultPlan` (kill worker *N*
-after *M* tiles, poison one bundle build, delay a worker, plus the network
-faults only the remote backend can suffer), threaded through
-:func:`make_backend` so tests and benchmarks can prove jobs survive.
-
-A fourth backend crosses the host boundary:
-:class:`~repro.serve.remote.RemoteBackend` (in :mod:`repro.serve.remote`)
-speaks the same ``TileTask``/``TileResult`` contract to
-:class:`~repro.serve.remote.RemoteHostAgent` processes over TCP, reusing
-this module's affinity routing and outstanding-tile table — supervision and
-re-dispatch transfer unchanged once a socket replaces the fork + queue pair.
+Reproducible chaos is injected with a :class:`FaultPlan` (kill agent *N*
+after *M* tiles, poison one bundle build, delay an agent, drop, partition or
+slow its connection), threaded through :func:`make_backend` so tests and
+benchmarks can prove jobs survive.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import queue as queue_lib
-import threading
 import time
 import traceback
 from collections import deque
@@ -94,8 +58,6 @@ __all__ = [
     "BackendEvent",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadPoolBackend",
-    "ProcessPoolBackend",
     "BACKEND_NAMES",
     "make_backend",
 ]
@@ -153,38 +115,38 @@ class TileResult:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A reproducible failure-injection recipe for the pool backends.
+    """A reproducible failure-injection recipe for the out-of-process backend.
 
     Plans are plain picklable data threaded through :func:`make_backend`
-    down into the workers, so chaos tests and ``perf_serve.py --chaos`` can
-    stage the exact same disasters on every run:
+    and shipped to every host agent in its HELLO, so chaos tests and
+    ``perf_serve.py --chaos`` can stage the exact same disasters on every
+    run.  Indices name agents (``0 .. num_workers - 1``); the backend refuses
+    a plan naming an agent it does not have, so a chaos test cannot pass
+    vacuously.
 
-    * ``kill_worker`` / ``kill_after_tiles`` — worker ``kill_worker``
+    * ``kill_worker`` / ``kill_after_tiles`` — agent ``kill_worker``
       hard-exits (``os._exit``) the moment it picks up its
       ``kill_after_tiles``-th task, *without* answering it: the canonical
-      crash mid-render.  Results it already reported are flushed first, so
-      the parent sees a realistic partial history.  The respawned
-      replacement does not inherit the kill (one crash per plan), which is
-      what keeps re-dispatch a guarantee of progress.  Process backend only.
+      crash mid-render.  Results it already sent still reach the scheduler,
+      so it sees a realistic partial history.  An agent the backend forked
+      itself is re-forked, and the replacement does not inherit the kill
+      (one crash per plan), which is what keeps re-dispatch a guarantee of
+      progress; an external host stays down.
     * ``poison_key`` — the ``(scene, pipeline)`` whose bundle build raises
-      :class:`~repro.serve.store.PoisonedBundleError` in every worker store:
+      :class:`~repro.serve.store.PoisonedBundleError` in every shard store:
       a corrupt checkpoint.  Jobs needing that bundle fail with the typed
       error; everything else keeps rendering.
-    * ``delay_worker`` / ``delay_s`` — worker ``delay_worker`` sleeps
+    * ``delay_worker`` / ``delay_s`` — agent ``delay_worker`` sleeps
       ``delay_s`` before each tile: a degraded-but-alive shard, the case
       speculative hedging exists for.
-
-    The **network faults** stage what only the remote backend can suffer
-    (the in-process pools refuse plans that set them):
-
-    * ``drop_host`` / ``drop_connection_after_tiles`` — host ``drop_host``
+    * ``drop_host`` / ``drop_connection_after_tiles`` — agent ``drop_host``
       tears its scheduler connection after serving that many tiles, mid
       result frame: the scheduler must detect the torn frame, discard the
       partial bytes, redispatch, and later reconnect.  Fires once per plan.
-    * ``partition_host`` — that host goes silent on its next task without
+    * ``partition_host`` — that agent goes silent on its next task without
       closing anything: no results, no pongs, socket open.  Only the
       heartbeat deadline can declare it dead.
-    * ``delay_host`` / ``delay_host_s`` — that host sleeps *after*
+    * ``delay_host`` / ``delay_host_s`` — that agent sleeps *after*
       rendering, before replying: slow network rather than slow compute
       (``delay_worker`` models the latter).
     """
@@ -213,19 +175,19 @@ class FaultPlan:
         if self.delay_host_s < 0:
             raise ValueError(f"delay_host_s must be non-negative, got {self.delay_host_s}")
 
-    def network_faults(self) -> Tuple[str, ...]:
-        """The network-fault knobs this plan sets (remote backend only)."""
-        faults = []
-        if self.drop_host is not None:
-            faults.append("drop_host")
-        if self.partition_host is not None:
-            faults.append("partition_host")
-        if self.delay_host is not None:
-            faults.append("delay_host")
-        return tuple(faults)
+    def check_indices(self, num_workers: int) -> None:
+        """Raise ``ValueError`` if the plan names an agent outside a pool of
+        ``num_workers`` (a fault that could never fire)."""
+        for knob in ("kill_worker", "delay_worker", "drop_host", "partition_host", "delay_host"):
+            index = getattr(self, knob)
+            if index is not None and not 0 <= index < num_workers:
+                raise ValueError(
+                    f"FaultPlan.{knob}={index} names no agent of this "
+                    f"{num_workers}-agent backend (valid: 0..{num_workers - 1})"
+                )
 
     def without_kill(self) -> "FaultPlan":
-        """The same plan minus the crash — what a respawned worker receives."""
+        """The same plan minus the crash — what a re-forked agent receives."""
         return replace(self, kill_worker=None)
 
 
@@ -245,16 +207,6 @@ class BackendEvent:
     name: str
     job_id: Optional[str] = None
     attrs: Dict[str, object] = field(default_factory=dict)
-
-
-@dataclass(eq=False)
-class _Dispatch:
-    """Routing state of one in-flight tile (pool backends only)."""
-
-    task: TileTask
-    worker: int
-    dispatched_at: float
-    hedge_worker: Optional[int] = None
 
 
 def _execute_tile(store: SceneStore, task: TileTask, worker_id: int) -> TileResult:
@@ -294,11 +246,6 @@ def _execute_tile(store: SceneStore, task: TileTask, worker_id: int) -> TileResu
         )
 
 
-def _default_num_workers() -> int:
-    """A small pool: enough to overlap scenes, not enough to thrash a laptop."""
-    return max(2, min(4, os.cpu_count() or 2))
-
-
 class ExecutionBackend:
     """The contract between the scheduling and execution layers.
 
@@ -312,16 +259,13 @@ class ExecutionBackend:
     name: str = "?"
     #: Parallel workers this backend renders on.
     num_workers: int = 1
-    #: Whether this backend honors :meth:`FaultPlan.network_faults` (only
-    #: the remote backend does; the in-process pools refuse such plans).
-    supports_network_faults: bool = False
 
     def __init__(self) -> None:
         self._in_flight = 0
         self._started = False
         #: Elasticity counters, read into :class:`ServerStats` by the
-        #: ``source`` of their declarations there.  Only the pool/remote
-        #: backends ever move them; they stay 0 elsewhere.
+        #: ``source`` of their declarations there.  Only the remote backend
+        #: (``"process"`` or ``"remote"``) moves them; they stay 0 elsewhere.
         self.worker_respawns = 0
         self.redispatched_tiles = 0
         self.hedged_tiles = 0
@@ -365,7 +309,7 @@ class ExecutionBackend:
     def can_accept(self, key: Tuple[str, str]) -> bool:
         """Whether a tile of this ``(scene, pipeline)`` key should dispatch now.
 
-        Pool backends answer per worker: a key whose sticky worker is at
+        The remote backend answers per agent: a key whose sticky agent is at
         queue depth is deferred even while other workers have headroom, so a
         hot key cannot pile unbounded run-ahead onto one queue (tiles left
         undispatched can still be cancelled by deadline expiry).
@@ -384,8 +328,8 @@ class ExecutionBackend:
         Non-blocking by default; with ``block=True`` and tasks in flight,
         waits up to ``timeout`` (default ``_COLLECT_BLOCK_S``) for at least
         one completion, returning empty-handed on expiry so the scheduler
-        stays responsive.  Dead workers never raise out of here: the pool
-        backends run their supervision sweep first (respawn + re-dispatch)
+        stays responsive.  Dead workers never raise out of here: the remote
+        backend runs its supervision sweep first (failover + re-dispatch)
         and the scheduler simply keeps collecting.  Results flagged
         ``duplicate`` resolve tiles already counted, so only first
         completions drain ``in_flight``.
@@ -397,10 +341,10 @@ class ExecutionBackend:
     def maintain(self) -> None:
         """Periodic elasticity hook, called once per :meth:`RenderServer.step`.
 
-        The base backends have nothing to do; the process pool supervises
-        (respawn dead shards, re-dispatch their tiles), hedges stragglers and
-        rebalances hot keys here — *between* collects, so a stalled worker is
-        handled even while results from the others keep the queue full.
+        The serial backend has nothing to do; the remote backend supervises
+        (fail lost agents over, re-fork dead owned ones), hedges stragglers
+        and rebalances hot keys here — *between* collects, so a stalled agent
+        is handled even while results from the others keep arriving.
         """
 
     def drain_events(self) -> List[BackendEvent]:
@@ -466,545 +410,8 @@ class SerialBackend(ExecutionBackend):
         self._done = []
 
 
-def _drain_queue(q) -> None:
-    """Best-effort empty of a (possibly half-closed) queue, never blocking."""
-    while True:
-        try:
-            q.get_nowait()
-        except (queue_lib.Empty, OSError, ValueError, EOFError):
-            return
-
-
-class _PoolBackend(ExecutionBackend):
-    """Shared plumbing of the worker-pool backends.
-
-    Each worker owns an input queue; one output queue fans completions back
-    in.  Routing is by sticky ``(scene, pipeline)`` affinity — first touch
-    picks the worker with the fewest assigned keys — so bundles are resident
-    exactly once across the pool and never rendered concurrently.
-
-    Every in-flight tile is tracked in an ``_outstanding`` table keyed by
-    ``(job_id, tile_index)``: the supervisor reads it to know which tiles
-    were resident on a dead worker, and completions that resolve an
-    already-resolved entry (hedge losers, re-dispatch echoes) are flagged
-    ``duplicate`` so nothing is ever double-counted.
-    """
-
-    def __init__(
-        self,
-        num_workers: Optional[int] = None,
-        queue_depth: int = 2,
-        fault_plan: Optional[FaultPlan] = None,
-    ) -> None:
-        super().__init__()
-        if num_workers is not None and num_workers < 1:
-            raise ValueError(f"num_workers must be at least 1, got {num_workers}")
-        if queue_depth < 1:
-            raise ValueError(f"queue_depth must be at least 1, got {queue_depth}")
-        if fault_plan is not None and not self.supports_network_faults:
-            refused = fault_plan.network_faults()
-            if refused:
-                raise ValueError(
-                    f"network fault(s) {', '.join(refused)} require the remote "
-                    "backend (in-process workers have no connections to drop)"
-                )
-        self.num_workers = num_workers if num_workers is not None else _default_num_workers()
-        #: Submitted-not-collected tiles the scheduler may run ahead per
-        #: worker; 2 keeps every worker busy while it renders.
-        self.queue_depth = queue_depth
-        self.fault_plan = fault_plan
-        self._affinity: Dict[Tuple[str, str], int] = {}
-        self._keys_per_worker = [0] * self.num_workers
-        self._inflight_per_worker = [0] * self.num_workers
-        #: Dispatches per key since its last migration (the steal heat signal).
-        self._key_dispatches: Dict[Tuple[str, str], int] = {}
-        #: In-flight tiles by ``(job_id, tile_index)``.
-        self._outstanding: Dict[Tuple[str, int], _Dispatch] = {}
-        self._task_queues: list = []
-        self._result_queue = None
-
-    def _start(self, store: SceneStore) -> None:
-        self._affinity = {}
-        self._keys_per_worker = [0] * self.num_workers
-        self._inflight_per_worker = [0] * self.num_workers
-        self._key_dispatches = {}
-        self._outstanding = {}
-        self._launch(store)
-
-    def _launch(self, store: SceneStore) -> None:
-        raise NotImplementedError
-
-    def _max_in_flight(self) -> int:
-        return self.num_workers * self.queue_depth
-
-    def has_capacity(self) -> bool:
-        """Dispatch while *some* worker has queue-depth headroom.
-
-        Capacity is tracked per worker, not as one global cap: a hot
-        ``(scene, pipeline)`` key backlogging its sticky worker must not
-        block dispatch for jobs whose keys route to idle workers.  Which
-        worker a specific tile may go to is :meth:`can_accept`'s per-key
-        answer; this method only says whether dispatching is worth trying.
-        """
-        return any(count < self.queue_depth for count in self._inflight_per_worker)
-
-    def can_accept(self, key: Tuple[str, str]) -> bool:
-        return self._inflight_per_worker[self.worker_for(key)] < self.queue_depth
-
-    def worker_for(self, key: Tuple[str, str]) -> int:
-        """The sticky worker assignment of one ``(scene, pipeline)`` key."""
-        worker = self._affinity.get(key)
-        if worker is None:
-            worker = min(range(self.num_workers), key=lambda i: self._keys_per_worker[i])
-            self._affinity[key] = worker
-            self._keys_per_worker[worker] += 1
-        return worker
-
-    def _submit(self, task: TileTask) -> None:
-        worker = self.worker_for(task.key)
-        self._key_dispatches[task.key] = self._key_dispatches.get(task.key, 0) + 1
-        self._outstanding[(task.job_id, task.tile_index)] = _Dispatch(
-            task=task, worker=worker, dispatched_at=time.monotonic()
-        )
-        self._inflight_per_worker[worker] += 1
-        self._task_queues[worker].put(task)
-
-    def _collect(self, block: bool, timeout: Optional[float]) -> List[TileResult]:
-        assert self._result_queue is not None
-        # Supervise on EVERY collect — a dead worker must not hide behind a
-        # result queue kept full by the surviving workers.
-        self._supervise()
-        results = self._drain_results()
-        if block and not results:
-            try:
-                first = self._result_queue.get(
-                    timeout=timeout if timeout is not None else _COLLECT_BLOCK_S
-                )
-            except queue_lib.Empty:
-                return results  # nothing finished in time; the caller re-steps
-            results = self._ingest([first])
-            results.extend(self._drain_results())  # whatever else finished meanwhile
-        return results
-
-    def _drain_results(self) -> List[TileResult]:
-        raw: List[TileResult] = []
-        while True:
-            try:
-                raw.append(self._result_queue.get_nowait())
-            except queue_lib.Empty:
-                break
-        return self._ingest(raw)
-
-    def _ingest(self, raw: List[TileResult]) -> List[TileResult]:
-        """Resolve arrivals against the outstanding table (dedup + accounting)."""
-        for result in raw:
-            dispatch = self._outstanding.pop((result.job_id, result.tile_index), None)
-            if dispatch is None:
-                result.duplicate = True
-            else:
-                self._resolved(dispatch, result)
-            if 0 <= result.worker_id < self.num_workers:
-                if self._inflight_per_worker[result.worker_id] > 0:
-                    self._inflight_per_worker[result.worker_id] -= 1
-        return raw
-
-    def _resolved(self, dispatch: _Dispatch, result: TileResult) -> None:
-        """First completion of an outstanding tile (subclass hook)."""
-
-    def _supervise(self) -> None:
-        """Detect and repair dead workers (no-op for threads — they cannot
-        die silently; ``_execute_tile`` never lets an exception escape)."""
-
-
-def _thread_worker(
-    worker_id: int,
-    store: SceneStore,
-    task_queue: "queue_lib.SimpleQueue",
-    result_queue: "queue_lib.SimpleQueue",
-    fault_plan: Optional[FaultPlan] = None,
-) -> None:
-    while True:
-        task = task_queue.get()
-        if task is None:
-            return
-        if (
-            fault_plan is not None
-            and fault_plan.delay_worker == worker_id
-            and fault_plan.delay_s > 0
-        ):
-            time.sleep(fault_plan.delay_s)
-        result_queue.put(_execute_tile(store, task, worker_id))
-
-
-class ThreadPoolBackend(_PoolBackend):
-    """Worker threads sharing the server's store.
-
-    Bundle acquisition (and therefore building) serializes on the store's
-    own lock; rendering runs outside it.  Affinity routing means a given
-    engine is only ever rendered by its one worker, so no render-path state
-    is shared between threads — the GIL is the only remaining serialization,
-    and numpy releases it inside the heavy kernels.
-    """
-
-    name = "thread"
-
-    def __init__(
-        self,
-        num_workers: Optional[int] = None,
-        queue_depth: int = 2,
-        fault_plan: Optional[FaultPlan] = None,
-    ) -> None:
-        super().__init__(num_workers=num_workers, queue_depth=queue_depth, fault_plan=fault_plan)
-        if fault_plan is not None and fault_plan.kill_worker is not None:
-            raise ValueError(
-                "FaultPlan.kill_worker requires the process backend "
-                "(a thread cannot be crashed from outside)"
-            )
-
-    def _launch(self, store: SceneStore) -> None:
-        if self.fault_plan is not None and self.fault_plan.poison_key is not None:
-            store.poison(*self.fault_plan.poison_key)
-        self._task_queues = [queue_lib.SimpleQueue() for _ in range(self.num_workers)]
-        self._result_queue = queue_lib.SimpleQueue()
-        self._threads = [
-            threading.Thread(
-                target=_thread_worker,
-                args=(i, store, self._task_queues[i], self._result_queue, self.fault_plan),
-                name=f"serve-worker-{i}",
-                daemon=True,
-            )
-            for i in range(self.num_workers)
-        ]
-        for thread in self._threads:
-            thread.start()
-
-    def _close(self) -> None:
-        # Drop the undispatched backlog first so each worker reaches its
-        # sentinel after at most the tile it is currently rendering — close
-        # with work in flight must not render the queue dry before exiting.
-        for task_queue in self._task_queues:
-            _drain_queue(task_queue)
-        for task_queue in self._task_queues:
-            task_queue.put(None)
-        for thread in self._threads:
-            thread.join(timeout=5.0)
-        _drain_queue(self._result_queue)
-        self._outstanding.clear()
-
-
-def _process_worker(worker_id, spec, num_shards, task_queue, result_queue, fault_plan=None) -> None:
-    """Entry point of one shared-nothing worker process.
-
-    Builds this shard's own store from the spec (per-shard memory budget)
-    and serves tasks until the ``None`` sentinel.  Runs until then; errors
-    travel back as :class:`TileResult.error`, never as a dead process —
-    except when a :class:`FaultPlan` deliberately crashes this worker, which
-    is what the supervisor exists to survive.
-    """
-    store = SceneStore.from_spec(spec, shard_index=worker_id, num_shards=num_shards)
-    if fault_plan is not None and fault_plan.poison_key is not None:
-        store.poison(*fault_plan.poison_key)
-    tiles_taken = 0
-    while True:
-        task = task_queue.get()
-        if task is None:
-            return
-        tiles_taken += 1
-        if (
-            fault_plan is not None
-            and fault_plan.kill_worker == worker_id
-            and tiles_taken >= fault_plan.kill_after_tiles
-        ):
-            # Crash "mid-render": flush results already reported (a torn
-            # pickle in the result pipe would fail the *parent*), then die
-            # without answering this task — it must be re-dispatched.
-            result_queue.close()
-            result_queue.join_thread()
-            os._exit(1)
-        if (
-            fault_plan is not None
-            and fault_plan.delay_worker == worker_id
-            and fault_plan.delay_s > 0
-        ):
-            time.sleep(fault_plan.delay_s)
-        result_queue.put(_execute_tile(store, task, worker_id))
-
-
-class ProcessPoolBackend(_PoolBackend):
-    """Shared-nothing worker processes, each owning a store shard.
-
-    Workers are forked where available (so closure loaders injected into the
-    parent store keep working) and rebuild their bundles deterministically
-    from the store spec; only :class:`TileTask`\\ s and :class:`TileResult`\\ s
-    cross the process boundary.  This sidesteps the GIL entirely: per-tile
-    Python overhead — sampling, masking, bookkeeping — runs truly in
-    parallel, which the thread backend cannot offer.
-
-    Shared-nothing is also what makes this the *elastic* backend: a shard
-    can be killed and rebuilt from the spec at any time, and a tile may
-    safely render on two shards at once (each owns a private bundle), so
-    supervision/respawn, speculative hedging and key stealing all live here.
-    The thread backend gets none of them — its workers share one store, and
-    two threads must never render the same engine concurrently.
-
-    Parameters (beyond the pool's ``num_workers``/``queue_depth``/
-    ``fault_plan``):
-
-    hedge_multiplier:
-        A tile in flight longer than ``hedge_multiplier`` x the p95 service
-        time observed for its key (falling back to the pool-wide p95 until
-        the key has ``hedge_min_samples`` of its own) is speculatively
-        duplicated onto the least-loaded other worker.  ``None`` (default)
-        disables hedging.
-    hedge_min_samples:
-        Completions needed before a p95 is trusted (default 8).
-    hedge_budget:
-        Maximum speculative duplicates in flight at once (default: one per
-        worker) — hedging may never more than double the pool's load.
-    steal_interval_s:
-        Minimum seconds between affinity migrations.  When the hottest
-        worker is saturated (at ``queue_depth``) while another sits idle,
-        the hot worker's most-dispatched ``(scene, pipeline)`` key moves its
-        affinity to the idle worker, which rebuilds the bundle
-        deterministically on first touch.  ``None`` (default) disables
-        stealing; the bound keeps bundles from thrashing between shards.
-    """
-
-    name = "process"
-
-    def __init__(
-        self,
-        num_workers: Optional[int] = None,
-        queue_depth: int = 2,
-        fault_plan: Optional[FaultPlan] = None,
-        hedge_multiplier: Optional[float] = None,
-        hedge_min_samples: int = 8,
-        hedge_budget: Optional[int] = None,
-        steal_interval_s: Optional[float] = None,
-    ) -> None:
-        super().__init__(num_workers=num_workers, queue_depth=queue_depth, fault_plan=fault_plan)
-        if hedge_multiplier is not None and hedge_multiplier <= 0:
-            raise ValueError(f"hedge_multiplier must be positive, got {hedge_multiplier}")
-        if hedge_min_samples < 1:
-            raise ValueError(f"hedge_min_samples must be at least 1, got {hedge_min_samples}")
-        if hedge_budget is not None and hedge_budget < 1:
-            raise ValueError(f"hedge_budget must be at least 1, got {hedge_budget}")
-        if steal_interval_s is not None and steal_interval_s < 0:
-            raise ValueError(f"steal_interval_s must be non-negative, got {steal_interval_s}")
-        self.hedge_multiplier = hedge_multiplier
-        self.hedge_min_samples = hedge_min_samples
-        self.hedge_budget = hedge_budget if hedge_budget is not None else self.num_workers
-        self.steal_interval_s = steal_interval_s
-        self._spec = None
-        self._ctx = None
-        self._processes: list = []
-        self._hedges_in_flight = 0
-        self._service_samples: Dict[Tuple[str, str], Deque[float]] = {}
-        self._all_samples: Deque[float] = deque(maxlen=256)
-        self._last_steal: Optional[float] = None
-
-    # -- lifecycle ------------------------------------------------------
-    def _launch(self, store: SceneStore) -> None:
-        self._spec = store.spec()
-        methods = multiprocessing.get_all_start_methods()
-        self._ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-        self._result_queue = self._ctx.Queue()
-        self._task_queues = []
-        self._processes = []
-        self._hedges_in_flight = 0
-        self._service_samples = {}
-        self._all_samples = deque(maxlen=256)
-        self._last_steal = None
-        for worker_id in range(self.num_workers):
-            task_queue, process = self._spawn_worker(worker_id, self.fault_plan)
-            self._task_queues.append(task_queue)
-            self._processes.append(process)
-
-    def _spawn_worker(self, worker_id: int, fault_plan: Optional[FaultPlan]):
-        task_queue = self._ctx.Queue()
-        process = self._ctx.Process(
-            target=_process_worker,
-            args=(
-                worker_id,
-                self._spec,
-                self.num_workers,
-                task_queue,
-                self._result_queue,
-                fault_plan,
-            ),
-            name=f"serve-shard-{worker_id}",
-            daemon=True,
-        )
-        process.start()
-        return task_queue, process
-
-    def _close(self) -> None:
-        # Drop undispatched backlog, then sentinel every worker: a live
-        # worker exits after at most its current tile; a dead worker's queue
-        # must not wedge the feeder thread (drain + cancel_join_thread).
-        for task_queue in self._task_queues:
-            _drain_queue(task_queue)
-            try:
-                task_queue.put_nowait(None)
-            except (OSError, ValueError, queue_lib.Full):
-                pass
-        for process in self._processes:
-            process.join(timeout=5.0)
-        for process in self._processes:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=1.0)
-        for q in [*self._task_queues, self._result_queue]:
-            if q is None:
-                continue
-            _drain_queue(q)
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except (OSError, ValueError):
-                pass
-        self._outstanding.clear()
-        self._hedges_in_flight = 0
-
-    # -- elasticity -----------------------------------------------------
-    def maintain(self) -> None:
-        if not self._started:
-            return
-        self._supervise()
-        self._hedge_stragglers()
-        self._steal_hot_key()
-
-    def _supervise(self) -> None:
-        """Respawn dead workers and re-dispatch the tiles they stranded."""
-        for worker_id, process in enumerate(self._processes):
-            if process.exitcode is not None and not process.is_alive():
-                self._respawn(worker_id)
-
-    def _respawn(self, worker_id: int) -> None:
-        self._processes[worker_id].join(timeout=1.0)  # reap the corpse
-        old_queue = self._task_queues[worker_id]
-        _drain_queue(old_queue)  # queued-but-unread tasks are re-dispatched below
-        try:
-            old_queue.close()
-            old_queue.cancel_join_thread()
-        except (OSError, ValueError):
-            pass
-        # One crash per plan: the replacement must make progress even under
-        # kill_after_tiles=1, so it inherits poison/delay but never the kill.
-        plan = self.fault_plan.without_kill() if self.fault_plan is not None else None
-        task_queue, process = self._spawn_worker(worker_id, plan)
-        self._task_queues[worker_id] = task_queue
-        self._processes[worker_id] = process
-        self.worker_respawns += 1
-        self._emit("respawn", worker=worker_id)
-        now = time.monotonic()
-        for dispatch in self._outstanding.values():
-            if dispatch.hedge_worker == worker_id:
-                # The hedge copy died; the primary is still out there.
-                dispatch.hedge_worker = None
-                self._hedges_in_flight = max(0, self._hedges_in_flight - 1)
-            if dispatch.worker == worker_id:
-                if dispatch.hedge_worker is not None:
-                    # A live hedge already covers this tile: promote it.
-                    dispatch.worker = dispatch.hedge_worker
-                    dispatch.hedge_worker = None
-                    self._hedges_in_flight = max(0, self._hedges_in_flight - 1)
-                else:
-                    task_queue.put(dispatch.task)
-                    dispatch.dispatched_at = now
-                    self.redispatched_tiles += 1
-                    self._emit(
-                        "redispatched",
-                        job_id=dispatch.task.job_id,
-                        tile=dispatch.task.tile_index,
-                        worker=worker_id,
-                    )
-        # Loads recomputed from the surviving routing table (results the dead
-        # worker flushed before dying resolve their entries on arrival).
-        loads = [0] * self.num_workers
-        for dispatch in self._outstanding.values():
-            loads[dispatch.worker] += 1
-            if dispatch.hedge_worker is not None:
-                loads[dispatch.hedge_worker] += 1
-        self._inflight_per_worker = loads
-
-    def _resolved(self, dispatch: _Dispatch, result: TileResult) -> None:
-        if dispatch.hedge_worker is not None:
-            # The losing copy still occupies its worker until its echo
-            # arrives, but the *pair* is settled — free the hedge budget.
-            self._hedges_in_flight = max(0, self._hedges_in_flight - 1)
-        if result.error is None and result.service_s > 0:
-            key = dispatch.task.key
-            samples = self._service_samples.get(key)
-            if samples is None:
-                samples = self._service_samples[key] = deque(maxlen=64)
-            samples.append(result.service_s)
-            self._all_samples.append(result.service_s)
-
-    def _hedge_stragglers(self) -> None:
-        if self.hedge_multiplier is None or self.num_workers < 2 or not self._outstanding:
-            return
-        now = time.monotonic()
-        for dispatch in self._outstanding.values():
-            if self._hedges_in_flight >= self.hedge_budget:
-                return
-            if dispatch.hedge_worker is not None:
-                continue
-            p95 = self._service_p95(dispatch.task.key)
-            if p95 is None or now - dispatch.dispatched_at <= self.hedge_multiplier * p95:
-                continue
-            target = min(
-                (w for w in range(self.num_workers) if w != dispatch.worker),
-                key=lambda w: self._inflight_per_worker[w],
-            )
-            dispatch.hedge_worker = target
-            self._inflight_per_worker[target] += 1
-            self._task_queues[target].put(dispatch.task)
-            self._hedges_in_flight += 1
-            self.hedged_tiles += 1
-            self._emit(
-                "hedged",
-                job_id=dispatch.task.job_id,
-                tile=dispatch.task.tile_index,
-                worker=dispatch.worker,
-                hedge_worker=target,
-            )
-
-    def _service_p95(self, key: Tuple[str, str]) -> Optional[float]:
-        """The key's observed p95 service time (pool-wide until it has its
-        own history; ``None`` while there is too little of either)."""
-        samples = self._service_samples.get(key)
-        pool = samples if samples and len(samples) >= self.hedge_min_samples else self._all_samples
-        if len(pool) < self.hedge_min_samples:
-            return None
-        return float(np.percentile(np.asarray(pool, dtype=np.float64), 95))
-
-    def _steal_hot_key(self) -> None:
-        if self.steal_interval_s is None or self.num_workers < 2:
-            return
-        now = time.monotonic()
-        if self._last_steal is not None and now - self._last_steal < self.steal_interval_s:
-            return
-        loads = self._inflight_per_worker
-        hot = max(range(self.num_workers), key=lambda w: loads[w])
-        cold = min(range(self.num_workers), key=lambda w: loads[w])
-        if hot == cold or loads[hot] < self.queue_depth or loads[cold] > 0:
-            return
-        keys = [key for key, worker in self._affinity.items() if worker == hot]
-        if not keys:
-            return
-        key = max(keys, key=lambda k: self._key_dispatches.get(k, 0))
-        self._affinity[key] = cold
-        self._keys_per_worker[hot] -= 1
-        self._keys_per_worker[cold] += 1
-        self._key_dispatches[key] = 0  # heat resets with the move
-        self.stolen_keys += 1
-        self._last_steal = now
-        self._emit("stolen", scene=key[0], pipeline=key[1], src=hot, dst=cold)
-
-
 #: Backend names :func:`make_backend` (and the benchmark CLI) accept.
-BACKEND_NAMES = ("serial", "thread", "process", "remote")
+BACKEND_NAMES = ("serial", "process", "remote")
 
 
 def make_backend(
@@ -1025,17 +432,17 @@ def make_backend(
 ) -> ExecutionBackend:
     """Construct a backend by name.
 
-    ``num_workers`` and ``queue_depth`` configure the pool backends (each
-    validates its own range); ``fault_plan`` injects reproducible failures
-    into a pool (kill is process-only; network faults are remote-only);
-    ``hedge_multiplier`` and ``steal_interval_s`` enable speculative
-    re-dispatch and work stealing on the process pool.  ``hosts`` plus the
-    heartbeat/backoff/timeout/fallback knobs configure the remote backend
-    (see :class:`~repro.serve.remote.RemoteBackend`), which sizes itself
-    from the host list.  Every backend refuses knobs it cannot honor —
-    asking the serial backend for a fault plan, a pool for a heartbeat, or
-    the remote backend for hedging is an error, not a silent no-op.
+    ``"serial"`` takes no knobs.  ``"process"`` and ``"remote"`` both build
+    a :class:`~repro.serve.remote.RemoteBackend`: ``"process"`` forks
+    ``num_workers`` loopback agents of its own, ``"remote"`` dials
+    ``hosts`` and sizes itself from them.  Both take ``queue_depth``,
+    ``fault_plan``, ``hedge_multiplier`` and ``steal_interval_s``; the
+    heartbeat/backoff/timeout/fallback knobs tune the connections to
+    external hosts and belong to ``"remote"`` alone.  A knob a backend
+    cannot honor is an error, not a silent no-op.
     """
+    if name not in BACKEND_NAMES:
+        raise ValueError(f"unknown backend {name!r}; choose from {', '.join(BACKEND_NAMES)}")
     remote_only = {
         "hosts": hosts,
         "heartbeat_interval_s": heartbeat_interval_s,
@@ -1046,7 +453,7 @@ def make_backend(
         "backoff_max_s": backoff_max_s,
         "local_fallback": local_fallback,
     }
-    if name in ("serial", "thread", "process"):
+    if name != "remote":
         refused = sorted(knob for knob, value in remote_only.items() if value is not None)
         if refused:
             raise ValueError(
@@ -1054,27 +461,6 @@ def make_backend(
                 f"knob(s): {', '.join(refused)}; use "
                 "make_backend('remote', hosts=...)"
             )
-    if name == "remote":
-        if hedge_multiplier is not None or steal_interval_s is not None:
-            raise ValueError(
-                "hedging and work stealing are not supported on the remote "
-                "backend (failover re-dispatch covers host loss)"
-            )
-        if num_workers is not None:
-            raise ValueError(
-                "the remote backend sizes itself from hosts=; "
-                "num_workers is not accepted"
-            )
-        from repro.serve.remote import RemoteBackend  # lazy: avoids an import cycle
-
-        remote_kwargs = {
-            knob: value
-            for knob, value in remote_only.items()
-            if knob != "hosts" and value is not None
-        }
-        if queue_depth is not None:
-            remote_kwargs["queue_depth"] = queue_depth
-        return RemoteBackend(hosts=hosts, fault_plan=fault_plan, **remote_kwargs)
     if name == "serial":
         pool_only = {
             "queue_depth": queue_depth,
@@ -1088,20 +474,17 @@ def make_backend(
                 f"the serial backend does not support: {', '.join(refused)}"
             )
         return SerialBackend()
-    pool_kwargs: dict = {"num_workers": num_workers, "fault_plan": fault_plan}
+    from repro.serve.remote import RemoteBackend  # lazy: avoids an import cycle
+
+    kwargs = {knob: value for knob, value in remote_only.items() if value is not None}
+    if name == "remote":
+        kwargs["hosts"] = hosts or ()  # an empty list is refused, not "fork my own"
     if queue_depth is not None:
-        pool_kwargs["queue_depth"] = queue_depth
-    if name == "thread":
-        if hedge_multiplier is not None or steal_interval_s is not None:
-            raise ValueError(
-                "hedging and work stealing need shared-nothing workers; "
-                "use the process backend"
-            )
-        return ThreadPoolBackend(**pool_kwargs)
-    if name == "process":
-        return ProcessPoolBackend(
-            hedge_multiplier=hedge_multiplier,
-            steal_interval_s=steal_interval_s,
-            **pool_kwargs,
-        )
-    raise ValueError(f"unknown backend {name!r}; choose from {', '.join(BACKEND_NAMES)}")
+        kwargs["queue_depth"] = queue_depth
+    return RemoteBackend(
+        num_workers=num_workers,
+        fault_plan=fault_plan,
+        hedge_multiplier=hedge_multiplier,
+        steal_interval_s=steal_interval_s,
+        **kwargs,
+    )

@@ -1,7 +1,8 @@
-"""Multi-host execution: a TCP transport for :class:`TileTask` rendering.
+"""Out-of-process execution: a TCP transport for :class:`TileTask` rendering.
 
-The process pool crossed the *process* boundary; this module crosses the
-*host* boundary with the same contract.  Three pieces:
+Every tile that leaves the scheduler's process goes through this module,
+whether the agent rendering it is a loopback fork or a machine across the
+network.  Three pieces:
 
 * **Wire protocol** — length-prefixed, versioned frames over a plain TCP
   socket.  Every frame is an 8-byte header (magic byte, one-byte schema
@@ -18,26 +19,32 @@ The process pool crossed the *process* boundary; this module crosses the
   are deterministic in the spec, which is what keeps remote frames
   bit-identical) and then serves ``TileTask`` → ``TileResult`` frames,
   answering heartbeat pings in between.  :class:`LocalHostCluster` forks N
-  loopback agents for tests, benchmarks and demos.
-* **:class:`RemoteBackend`** — an :class:`~repro.serve.backends.ExecutionBackend`
-  scheduling across N hosts with the pool backends' sticky
-  ``(scene, pipeline)`` affinity and outstanding-tile table.  All I/O is
-  non-blocking on the scheduler's own thread (one ``selectors`` loop pumped
-  from ``collect``/``maintain``), so supervision can never be starved by a
-  stuck socket.
+  loopback agents.
+* **:class:`RemoteBackend`** — the one out-of-process
+  :class:`~repro.serve.backends.ExecutionBackend`.  ``make_backend("process",
+  num_workers=N)`` forks its own N loopback agents through
+  :class:`LocalHostCluster`; ``make_backend("remote", hosts=...)`` dials
+  agents run elsewhere.  Tiles route by sticky ``(scene, pipeline)``
+  affinity through an outstanding-tile table.  All I/O is non-blocking on
+  the scheduler's own thread (one ``selectors`` loop pumped from
+  ``collect``/``maintain``), so supervision can never be starved by a stuck
+  socket.
 
 **Failure model.**  A host is declared dead when its connection EOFs or
-errors, when a frame arrives torn, or when nothing (results, pongs) has been
-heard for ``heartbeat_timeout_s`` — the silent-partition case.  Death moves
-the host's in-flight tiles to survivors through the outstanding-tile table
+errors, when a frame arrives torn, when nothing (results, pongs) has been
+heard for ``heartbeat_timeout_s`` — the silent-partition case — or when a
+tile overstays ``dispatch_timeout_s``.  Death moves the host's in-flight
+tiles to survivors through the outstanding-tile table
 (``redispatched_tiles``), reassigns its affinity keys, and schedules a
 reconnect with capped exponential backoff and deterministic jitter; a
 successful reconnect (``host_reconnects``) re-handshakes and drains any
-stranded tiles.  With *no* survivors, ``local_fallback=True`` renders
-stranded tiles on a lazily built in-process shard so the server keeps
-serving bit-identical frames; otherwise tiles wait for a reconnect.
-Duplicate completions (a redispatched tile whose original also lands) are
-byte-identical by construction and dropped by the shared ``_ingest`` path.
+stranded tiles.  An agent the backend forked itself whose process has
+exited is re-forked on a new port instead (``worker_respawns``).  With *no*
+survivors, ``local_fallback=True`` renders stranded tiles on a lazily built
+in-process shard so the server keeps serving bit-identical frames;
+otherwise tiles wait for a reconnect.  Duplicate completions (a
+redispatched or hedged tile whose other copy also lands) are byte-identical
+by construction and dropped by ``_ingest``.
 """
 
 from __future__ import annotations
@@ -49,18 +56,21 @@ import pickle
 import selectors
 import socket
 import struct
+import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.serve.backends import (
     _COLLECT_BLOCK_S,
+    ExecutionBackend,
     FaultPlan,
     TileResult,
     TileTask,
-    _Dispatch,
     _execute_tile,
-    _PoolBackend,
 )
 from repro.serve.store import SceneStore
 
@@ -84,7 +94,7 @@ __all__ = [
 #: whenever the payload schema (the pickled dataclasses, the HELLO dict)
 #: changes incompatibly; mismatched peers then fail with a typed
 #: :class:`WireVersionError` instead of a pickle error deep in a payload.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 #: First header byte; anything else on the wire is corruption, not a frame.
 FRAME_MAGIC = 0xA7
@@ -203,7 +213,9 @@ class RemoteHostAgent:
     shard store (kept across reconnects — a scheduler that comes back after
     a dropped connection re-handshakes against a warm shard) and serves
     tasks one at a time.  Any frame it sends doubles as liveness; PING
-    frames are echoed as PONG between tiles.
+    frames are echoed as PONG between tiles, and while a task runs (a cold
+    bundle build can take longer than the heartbeat deadline) a helper
+    thread sends an unsolicited PONG every ``keepalive_s`` from the HELLO.
 
     The :class:`~repro.serve.backends.FaultPlan` travels inside the HELLO,
     so reproducible chaos works across the host boundary: ``kill_worker``
@@ -222,6 +234,7 @@ class RemoteHostAgent:
         self._store_key: Optional[tuple] = None
         self._host_index = 0
         self._fault_plan: Optional[FaultPlan] = None
+        self._keepalive_s = 1.0
         self._tiles_taken = 0
         self._drop_fired = False
 
@@ -285,6 +298,7 @@ class RemoteHostAgent:
             self._store_key = key
         self._host_index = host_index
         self._fault_plan = payload.get("fault_plan")
+        self._keepalive_s = payload["keepalive_s"]
         if self._fault_plan is not None and self._fault_plan.poison_key is not None:
             self._store.poison(*self._fault_plan.poison_key)
         conn.sendall(
@@ -316,13 +330,20 @@ class RemoteHostAgent:
             # ever answered again.  Only the heartbeat deadline catches this.
             while True:
                 time.sleep(60.0)
-        if (
-            plan is not None
-            and plan.delay_worker == self._host_index
-            and plan.delay_s > 0
-        ):
-            time.sleep(plan.delay_s)
-        result = _execute_tile(self._store, task, worker_id=self._host_index)
+        stop = threading.Event()
+        keepalive = threading.Thread(target=self._keepalive, args=(conn, stop), daemon=True)
+        keepalive.start()
+        try:
+            if (
+                plan is not None
+                and plan.delay_worker == self._host_index
+                and plan.delay_s > 0
+            ):
+                time.sleep(plan.delay_s)
+            result = _execute_tile(self._store, task, worker_id=self._host_index)
+        finally:
+            stop.set()
+            keepalive.join()  # the socket is this thread's again from here
         if (
             plan is not None
             and plan.delay_host == self._host_index
@@ -344,6 +365,14 @@ class RemoteHostAgent:
         conn.sendall(frame)
         return True
 
+    def _keepalive(self, conn: socket.socket, stop: threading.Event) -> None:
+        """PONG every ``keepalive_s`` until ``stop``: a busy host is alive."""
+        while not stop.wait(self._keepalive_s):
+            try:
+                conn.sendall(encode_frame(MSG_PONG, None))
+            except OSError:
+                return
+
 
 def _agent_entry(pipe, host: str) -> None:
     agent = RemoteHostAgent(host=host)
@@ -353,32 +382,48 @@ def _agent_entry(pipe, host: str) -> None:
 
 
 class LocalHostCluster:
-    """N loopback :class:`RemoteHostAgent` processes (tests, benchmarks, demos).
+    """N loopback :class:`RemoteHostAgent` processes, direct children of this one.
 
     Each agent binds port 0 in its own forked process and reports the bound
     address back over a pipe; ``addresses`` is what a :class:`RemoteBackend`
-    takes as ``hosts=``.  :meth:`kill` hard-kills one agent to stage a host
-    loss; the context manager tears the rest down.
+    takes as ``hosts=``, and what ``make_backend("process")`` forks for
+    itself.  :meth:`kill` hard-kills one agent to stage a host loss,
+    :meth:`respawn` replaces an exited one; the context manager tears the
+    rest down.
     """
 
     def __init__(self, num_hosts: int, host: str = "127.0.0.1") -> None:
         if num_hosts < 1:
             raise ValueError(f"num_hosts must be at least 1, got {num_hosts}")
         methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+        self._ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+        self._host = host
         self.processes: list = []
         self.addresses: List[Tuple[str, int]] = []
         for _ in range(num_hosts):
-            parent, child = ctx.Pipe()
-            process = ctx.Process(target=_agent_entry, args=(child, host), daemon=True)
-            process.start()
-            child.close()
+            process, address = self._spawn()
+            self.processes.append(process)
+            self.addresses.append(address)
+
+    def _spawn(self):
+        parent, child = self._ctx.Pipe()
+        process = self._ctx.Process(target=_agent_entry, args=(child, self._host), daemon=True)
+        process.start()
+        child.close()
+        try:
             if not parent.poll(30.0):
                 process.terminate()
                 raise RuntimeError("host agent did not report its address in 30s")
-            self.addresses.append(parent.recv())
+            return process, parent.recv()
+        finally:
             parent.close()
-            self.processes.append(process)
+
+    def respawn(self, index: int) -> Tuple[str, int]:
+        """Replace agent ``index``, whose process has exited, with a fresh
+        one on a new port; returns the new address."""
+        self.processes[index].join(timeout=1.0)  # reap the corpse
+        self.processes[index], self.addresses[index] = self._spawn()
+        return self.addresses[index]
 
     @property
     def num_hosts(self) -> int:
@@ -430,6 +475,23 @@ class _HostChannel:
     next_attempt_at: float = 0.0
     connect_deadline: float = 0.0
     ever_up: bool = False
+    #: The plan this host's HELLO carries (a re-forked agent's lacks the kill).
+    fault_plan: Optional[FaultPlan] = None
+
+
+@dataclass(eq=False)
+class _Dispatch:
+    """Routing state of one in-flight tile."""
+
+    task: TileTask
+    worker: int
+    dispatched_at: float
+    hedge_worker: Optional[int] = None
+
+
+def _default_num_workers() -> int:
+    """A small pool: enough to overlap scenes, not enough to thrash a laptop."""
+    return max(2, min(4, os.cpu_count() or 2))
 
 
 def _parse_hosts(
@@ -453,24 +515,38 @@ def _parse_hosts(
     return addresses
 
 
-class RemoteBackend(_PoolBackend):
-    """Schedule tiles across N remote host agents over TCP.
+class RemoteBackend(ExecutionBackend):
+    """Schedule tiles across N host agents over TCP: the one out-of-process
+    backend.
 
-    The pool backends' routing transfers unchanged — sticky ``(scene,
-    pipeline)`` affinity, per-host ``queue_depth`` run-ahead, the
-    outstanding-tile table and duplicate-dropping ``_ingest`` — with a
-    socket replacing the fork + queue pair.  What is new is everything that
-    can go wrong between two machines:
+    Two forms share every line of scheduling and supervision:
+
+    * ``RemoteBackend(num_workers=N)`` — what ``make_backend("process")``
+      builds, reported as ``"process"``.  :meth:`start` forks N loopback
+      agents through :class:`LocalHostCluster` (after checking the store
+      spec is picklable, so the agents inherit every pipeline registered
+      before start) and :meth:`close` tears them down.
+    * ``RemoteBackend(hosts=[...])`` — what ``make_backend("remote")``
+      builds, reported as ``"remote"``: it dials agents run elsewhere and
+      sizes itself from the host list.
+
+    Tiles route by sticky ``(scene, pipeline)`` affinity — first touch picks
+    the live host with the fewest keys — so each bundle is resident in one
+    shard and never rendered concurrently, and each host runs at most
+    ``queue_depth`` tiles ahead.  Every in-flight tile sits in an
+    outstanding-tile table keyed ``(job_id, tile_index)``: failover reads it
+    to find a lost host's tiles, and a completion that resolves an entry
+    already resolved (a hedge loser, a redispatch echo) is flagged
+    ``duplicate`` so nothing is double-counted.
 
     heartbeat_interval_s / heartbeat_timeout_s:
-        A PING goes to every idle-up host each interval; *any* frame counts
-        as liveness.  A host silent past the deadline is declared dead —
+        A PING goes to every idle-up host each interval, and a busy agent
+        sends a PONG each interval on its own; *any* frame counts as
+        liveness.  A host silent past the deadline is declared dead —
         connection condemned, in-flight tiles redispatched to survivors,
-        affinity keys reassigned (``host_losses``; the timeout must exceed
-        the longest tile render, since agents answer pings between tiles).
+        affinity keys reassigned (``host_losses``).
     connect_timeout_s:
-        Deadline for a TCP connect *and* the HELLO/ACK handshake behind it
-        (which includes the agent's first shard build).
+        Deadline for a TCP connect *and* the HELLO/ACK handshake behind it.
     backoff_base_s / backoff_max_s:
         Reconnects back off exponentially (capped), with deterministic
         jitter derived from ``(host index, attempt)`` so a fleet of
@@ -484,24 +560,40 @@ class RemoteBackend(_PoolBackend):
     local_fallback:
         With every host down, render stranded tiles on a lazily built
         in-process shard (``local_fallback_tiles``) instead of waiting for
-        a reconnect — graceful degradation to PR 4's serial behaviour,
-        still bit-identical.  Off by default: a partitioned *scheduler*
-        should usually wait, not silently absorb the fleet's work.
+        a reconnect — graceful degradation to serial rendering, still
+        bit-identical.  Off by default: a partitioned *scheduler* should
+        usually wait, not silently absorb the fleet's work.
+    hedge_multiplier / hedge_min_samples / hedge_budget:
+        A tile in flight longer than ``hedge_multiplier`` x the p95 service
+        time observed for its key (the backend-wide p95 until the key has
+        ``hedge_min_samples`` of its own) is duplicated onto the
+        least-loaded other live host; the first completion wins.  At most
+        ``hedge_budget`` duplicates (default: one per host) are in flight
+        at once.  ``None`` (default) disables hedging.
+    steal_interval_s:
+        Minimum seconds between affinity migrations.  When the busiest live
+        host is at ``queue_depth`` while another sits idle, the busy host's
+        most-dispatched ``(scene, pipeline)`` key moves to the idle one,
+        which rebuilds the bundle deterministically on first touch.
+        ``None`` (default) disables stealing.
 
-    Hedging and work stealing are not offered here yet (``make_backend``
-    refuses the knobs loudly): failover redispatch covers host loss, and
-    cross-host hedging wants the per-key service model to learn network
-    latency first.
+    The heartbeat/connect/backoff/dispatch-timeout/fallback knobs keep
+    their defaults under ``make_backend("process")``.  An owned agent whose
+    process has exited is re-forked on a new port (``worker_respawns``)
+    with the fault plan minus its kill; every other loss, and every loss of
+    an external host, takes the reconnect path.
     """
-
-    name = "remote"
-    supports_network_faults = True
 
     def __init__(
         self,
         hosts: Optional[Sequence[Union[str, Tuple[str, int]]]] = None,
+        num_workers: Optional[int] = None,
         queue_depth: int = 2,
         fault_plan: Optional[FaultPlan] = None,
+        hedge_multiplier: Optional[float] = None,
+        hedge_min_samples: int = 8,
+        hedge_budget: Optional[int] = None,
+        steal_interval_s: Optional[float] = None,
         heartbeat_interval_s: float = 0.5,
         heartbeat_timeout_s: float = 10.0,
         dispatch_timeout_s: Optional[float] = None,
@@ -510,10 +602,36 @@ class RemoteBackend(_PoolBackend):
         backoff_max_s: float = 2.0,
         local_fallback: bool = False,
     ) -> None:
-        addresses = _parse_hosts(hosts)
-        super().__init__(
-            num_workers=len(addresses), queue_depth=queue_depth, fault_plan=fault_plan
-        )
+        super().__init__()
+        #: Whether this backend forks (and re-forks) its own agents.
+        self._owns_agents = hosts is None
+        if self._owns_agents:
+            self.name = "process"
+            self.num_workers = num_workers if num_workers is not None else _default_num_workers()
+            if self.num_workers < 1:
+                raise ValueError(f"num_workers must be at least 1, got {num_workers}")
+            self.addresses: List[Tuple[str, int]] = []  # bound at start
+        else:
+            if num_workers is not None:
+                raise ValueError(
+                    "the remote backend sizes itself from hosts=; "
+                    "num_workers is not accepted"
+                )
+            self.name = "remote"
+            self.addresses = _parse_hosts(hosts)
+            self.num_workers = len(self.addresses)
+        if queue_depth < 1:
+            raise ValueError(f"queue_depth must be at least 1, got {queue_depth}")
+        if fault_plan is not None:
+            fault_plan.check_indices(self.num_workers)
+        if hedge_multiplier is not None and hedge_multiplier <= 0:
+            raise ValueError(f"hedge_multiplier must be positive, got {hedge_multiplier}")
+        if hedge_min_samples < 1:
+            raise ValueError(f"hedge_min_samples must be at least 1, got {hedge_min_samples}")
+        if hedge_budget is not None and hedge_budget < 1:
+            raise ValueError(f"hedge_budget must be at least 1, got {hedge_budget}")
+        if steal_interval_s is not None and steal_interval_s < 0:
+            raise ValueError(f"steal_interval_s must be non-negative, got {steal_interval_s}")
         if heartbeat_interval_s <= 0:
             raise ValueError(
                 f"heartbeat_interval_s must be positive, got {heartbeat_interval_s}"
@@ -536,7 +654,14 @@ class RemoteBackend(_PoolBackend):
                 f"backoff_max_s ({backoff_max_s}) must be at least "
                 f"backoff_base_s ({backoff_base_s})"
             )
-        self.addresses = addresses
+        #: Submitted-not-collected tiles the scheduler may run ahead per
+        #: host; 2 keeps every host busy while it renders.
+        self.queue_depth = queue_depth
+        self.fault_plan = fault_plan
+        self.hedge_multiplier = hedge_multiplier
+        self.hedge_min_samples = hedge_min_samples
+        self.hedge_budget = hedge_budget if hedge_budget is not None else self.num_workers
+        self.steal_interval_s = steal_interval_s
         self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.dispatch_timeout_s = dispatch_timeout_s
@@ -544,21 +669,37 @@ class RemoteBackend(_PoolBackend):
         self.backoff_base_s = backoff_base_s
         self.backoff_max_s = backoff_max_s
         self.local_fallback = bool(local_fallback)
+        self._cluster: Optional[LocalHostCluster] = None
         self._channels: List[_HostChannel] = []
         self._selector: Optional[selectors.BaseSelector] = None
-        self._results: List[TileResult] = []
         self._spec = None
+        self._reset_routing()
+
+    def _reset_routing(self) -> None:
+        self._affinity: Dict[Tuple[str, str], int] = {}
+        self._keys_per_worker = [0] * self.num_workers
+        self._inflight_per_worker = [0] * self.num_workers
+        #: Dispatches per key since its last migration (the steal heat signal).
+        self._key_dispatches: Dict[Tuple[str, str], int] = {}
+        self._outstanding: Dict[Tuple[str, int], _Dispatch] = {}
+        self._results: List[TileResult] = []
         self._local_store: Optional[SceneStore] = None
+        self._hedges_in_flight = 0
+        self._service_samples: Dict[Tuple[str, str], Deque[float]] = {}
+        self._all_samples: Deque[float] = deque(maxlen=256)
+        self._last_steal: Optional[float] = None
 
     # -- lifecycle ------------------------------------------------------
-    def _launch(self, store: SceneStore) -> None:
+    def _start(self, store: SceneStore) -> None:
         self._spec = store.spec()
         self._spec.ensure_picklable()  # fail here, legibly — not mid-HELLO
+        self._reset_routing()
+        if self._owns_agents:
+            self._cluster = LocalHostCluster(self.num_workers)
+            self.addresses = list(self._cluster.addresses)
         self._selector = selectors.DefaultSelector()
-        self._results = []
-        self._local_store = None
         self._channels = [
-            _HostChannel(index=i, address=address)
+            _HostChannel(index=i, address=address, fault_plan=self.fault_plan)
             for i, address in enumerate(self.addresses)
         ]
         now = time.monotonic()
@@ -595,12 +736,29 @@ class RemoteBackend(_PoolBackend):
         if self._selector is not None:
             self._selector.close()
             self._selector = None
+        if self._cluster is not None:
+            self._cluster.close()
         self._outstanding.clear()
         self._results = []
+        self._hedges_in_flight = 0
 
     # -- scheduling interface ------------------------------------------
+    def has_capacity(self) -> bool:
+        """Dispatch while *some* host has queue-depth headroom.
+
+        Capacity is tracked per host, not as one global cap: a hot
+        ``(scene, pipeline)`` key backlogging its sticky host must not block
+        dispatch for jobs whose keys route to idle hosts.  Which host a
+        specific tile may go to is :meth:`can_accept`'s per-key answer.
+        """
+        return any(count < self.queue_depth for count in self._inflight_per_worker)
+
+    def can_accept(self, key: Tuple[str, str]) -> bool:
+        return self._inflight_per_worker[self.worker_for(key)] < self.queue_depth
+
     def worker_for(self, key: Tuple[str, str]) -> int:
-        """First touch of a key prefers a *live* host (fewest keys wins)."""
+        """The sticky host of one ``(scene, pipeline)`` key; first touch
+        prefers a *live* host (fewest keys wins)."""
         worker = self._affinity.get(key)
         if worker is None:
             live = self._live_hosts()
@@ -630,11 +788,104 @@ class RemoteBackend(_PoolBackend):
         raw, self._results = self._results, []
         return self._ingest(raw)
 
+    def _ingest(self, raw: List[TileResult]) -> List[TileResult]:
+        """Resolve arrivals against the outstanding table (dedup + accounting)."""
+        for result in raw:
+            dispatch = self._outstanding.pop((result.job_id, result.tile_index), None)
+            if dispatch is None:
+                result.duplicate = True
+            else:
+                self._resolved(dispatch, result)
+            if 0 <= result.worker_id < self.num_workers:
+                if self._inflight_per_worker[result.worker_id] > 0:
+                    self._inflight_per_worker[result.worker_id] -= 1
+        return raw
+
+    def _resolved(self, dispatch: _Dispatch, result: TileResult) -> None:
+        """First completion of an outstanding tile."""
+        if dispatch.hedge_worker is not None:
+            # The losing copy still occupies its host until its echo
+            # arrives, but the *pair* is settled — free the hedge budget.
+            self._hedges_in_flight = max(0, self._hedges_in_flight - 1)
+        if result.error is None and result.service_s > 0:
+            key = dispatch.task.key
+            samples = self._service_samples.get(key)
+            if samples is None:
+                samples = self._service_samples[key] = deque(maxlen=64)
+            samples.append(result.service_s)
+            self._all_samples.append(result.service_s)
+
     def maintain(self) -> None:
         if not self._started:
             return
         self._supervise()
+        self._hedge_stragglers()
+        self._steal_hot_key()
         self._pump(0.0)
+
+    # -- hedging and stealing ------------------------------------------
+    def _hedge_stragglers(self) -> None:
+        if self.hedge_multiplier is None or not self._outstanding:
+            return
+        live = self._live_hosts()
+        now = time.monotonic()
+        for dispatch in self._outstanding.values():
+            if self._hedges_in_flight >= self.hedge_budget:
+                return
+            if dispatch.hedge_worker is not None:
+                continue
+            others = [host for host in live if host != dispatch.worker]
+            if not others:
+                continue
+            p95 = self._service_p95(dispatch.task.key)
+            if p95 is None or now - dispatch.dispatched_at <= self.hedge_multiplier * p95:
+                continue
+            target = min(others, key=lambda host: self._inflight_per_worker[host])
+            dispatch.hedge_worker = target
+            self._inflight_per_worker[target] += 1
+            self._transmit(self._channels[target], dispatch.task)
+            self._hedges_in_flight += 1
+            self.hedged_tiles += 1
+            self._emit(
+                "hedged",
+                job_id=dispatch.task.job_id,
+                tile=dispatch.task.tile_index,
+                worker=dispatch.worker,
+                hedge_worker=target,
+            )
+
+    def _service_p95(self, key: Tuple[str, str]) -> Optional[float]:
+        """The key's observed p95 service time (backend-wide until it has
+        its own history; ``None`` while there is too little of either)."""
+        samples = self._service_samples.get(key)
+        pool = samples if samples and len(samples) >= self.hedge_min_samples else self._all_samples
+        if len(pool) < self.hedge_min_samples:
+            return None
+        return float(np.percentile(np.asarray(pool, dtype=np.float64), 95))
+
+    def _steal_hot_key(self) -> None:
+        if self.steal_interval_s is None:
+            return
+        now = time.monotonic()
+        if self._last_steal is not None and now - self._last_steal < self.steal_interval_s:
+            return
+        live = self._live_hosts()
+        if len(live) < 2:
+            return
+        loads = self._inflight_per_worker
+        hot = max(live, key=lambda host: loads[host])
+        cold = min(live, key=lambda host: loads[host])
+        if loads[hot] < self.queue_depth or loads[cold] > 0:
+            return
+        keys = [key for key, host in self._affinity.items() if host == hot]
+        if not keys:
+            return
+        key = max(keys, key=lambda k: self._key_dispatches.get(k, 0))
+        self._move_key(key, hot, cold)
+        self._key_dispatches[key] = 0  # heat resets with the move
+        self.stolen_keys += 1
+        self._last_steal = now
+        self._emit("stolen", scene=key[0], pipeline=key[1], src=hot, dst=cold)
 
     # -- connection management -----------------------------------------
     def _live_hosts(self) -> List[int]:
@@ -722,9 +973,19 @@ class RemoteBackend(_PoolBackend):
     def _failover(self, channel: _HostChannel) -> None:
         """Move everything resident on a down host somewhere that can run it."""
         channel.unsent = []  # every entry is also in _outstanding
-        stranded = [d for d in self._outstanding.values() if d.worker == channel.index]
-        for dispatch in stranded:
-            self._route(dispatch, redispatch=True)
+        for dispatch in list(self._outstanding.values()):
+            if dispatch.hedge_worker == channel.index:
+                # The hedge copy is lost; the primary is still out there.
+                dispatch.hedge_worker = None
+                self._hedges_in_flight = max(0, self._hedges_in_flight - 1)
+            if dispatch.worker != channel.index:
+                continue
+            if dispatch.hedge_worker is not None:
+                # A live hedge already covers this tile: promote it.
+                dispatch.worker, dispatch.hedge_worker = dispatch.hedge_worker, None
+                self._hedges_in_flight = max(0, self._hedges_in_flight - 1)
+            else:
+                self._route(dispatch, redispatch=True)
         self._recount_inflight()
 
     def _route(self, dispatch: _Dispatch, redispatch: bool) -> None:
@@ -795,6 +1056,8 @@ class RemoteBackend(_PoolBackend):
         loads = [0] * self.num_workers
         for dispatch in self._outstanding.values():
             loads[dispatch.worker] += 1
+            if dispatch.hedge_worker is not None:
+                loads[dispatch.hedge_worker] += 1
         self._inflight_per_worker = loads
 
     # -- supervision ----------------------------------------------------
@@ -803,6 +1066,12 @@ class RemoteBackend(_PoolBackend):
             return
         now = time.monotonic()
         for channel in self._channels:
+            if (
+                self._owns_agents
+                and channel.state != "up"
+                and not self._cluster.processes[channel.index].is_alive()
+            ):
+                self._respawn(channel)
             if channel.state in ("connecting", "handshaking"):
                 if now > channel.connect_deadline:
                     self._connect_failed(channel, now)
@@ -825,6 +1094,20 @@ class RemoteBackend(_PoolBackend):
             for host in sorted(overdue):
                 if self._channels[host].state == "up":
                     self._condemn(self._channels[host], "dispatch-timeout")
+
+    def _respawn(self, channel: _HostChannel) -> None:
+        """Re-fork an owned agent whose process exited, on a new port."""
+        self._disconnect(channel)
+        channel.address = self.addresses[channel.index] = self._cluster.respawn(channel.index)
+        # One crash per plan: the replacement must make progress even under
+        # kill_after_tiles=1, so it keeps poison/delay but never the kill.
+        if channel.fault_plan is not None:
+            channel.fault_plan = channel.fault_plan.without_kill()
+        channel.ever_up = False  # a fresh agent, not a reconnect
+        channel.attempts = 0
+        self.worker_respawns += 1
+        self._emit("respawn", worker=channel.index)
+        self._start_connect(channel, time.monotonic())
 
     # -- the I/O pump ---------------------------------------------------
     def _pump(self, timeout: float) -> None:
@@ -858,7 +1141,8 @@ class RemoteBackend(_PoolBackend):
                     "spec": self._spec,
                     "host_index": channel.index,
                     "num_hosts": self.num_workers,
-                    "fault_plan": self.fault_plan,
+                    "fault_plan": channel.fault_plan,
+                    "keepalive_s": self.heartbeat_interval_s,
                 },
             )
         if channel.outbox:

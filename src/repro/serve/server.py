@@ -13,7 +13,8 @@ multi-tenant front end with submit/poll/result semantics:
   round-robin, so an 800x800 frame never head-of-line-blocks a thumbnail.
 * **Execution** — the server renders nothing itself.  Tiles are submitted to
   an :class:`~repro.serve.backends.ExecutionBackend` (serial by default;
-  thread and shared-nothing process pools for parallel serving) and
+  shared-nothing host agents, forked locally or remote, for parallel
+  serving) and
   completions are collected **in any order** — out-of-order tiles are
   reassembled per job, and partially rendered frames can be streamed to
   callers before the job finishes (``poll(..., include_tiles=True)``).
@@ -23,7 +24,7 @@ multi-tenant front end with submit/poll/result semantics:
 * **Residency** — the scheduler only ever touches *scenes* (camera geometry,
   tile planning, admission costs, reference images) through
   :meth:`SceneStore.get_scene`; fields and engines are resolved by the
-  backend's workers, which is what lets a process pool own its bundles in
+  backend's workers, which is what lets host agents own their bundles in
   shared-nothing store shards.
 
 Determinism is preserved where the tests need it: under the default
@@ -138,7 +139,7 @@ class _Job:
     #: When the finished frame was first fetched (closes the deliver span).
     delivered_at: Optional[float] = None
     #: Completed tile images keyed by tile index — a dict, not a list,
-    #: because pool backends complete tiles out of order.
+    #: because the out-of-process backend completes tiles out of order.
     tile_images: Dict[int, np.ndarray] = field(default_factory=dict)
     max_applied_tile: int = -1
     stats: RenderStats = field(default_factory=RenderStats)
@@ -187,7 +188,7 @@ class ServeResult:
 
     ``queue_wait_s`` spans submission to the job's first tile being
     dispatched, ``service_s`` is the rendering + bundle-build time workers
-    actually spent on the job (wall-parallel time under pool backends),
+    actually spent on the job (wall-parallel time under ``"process"``),
     ``latency_s`` spans submission to completion.
     """
 
@@ -213,10 +214,10 @@ class RenderServer:
     ----------
     store:
         The :class:`SceneStore` providing scenes to the scheduler and (for
-        in-process backends) bundles to the workers.
+        the serial backend) bundles to the renderer.
     backend:
         Where tiles execute: an :class:`~repro.serve.backends.ExecutionBackend`
-        instance, one of the names ``"serial"`` / ``"thread"`` / ``"process"``,
+        instance, one of the names ``"serial"`` / ``"process"``,
         or ``None`` for the default deterministic serial backend.  The server
         owns the backend — :meth:`close` tears it down.
     max_pending:
@@ -612,16 +613,16 @@ class RenderServer:
         """Advance the schedule: collect completions, dispatch runnable tiles.
 
         Under the serial backend this renders exactly one tile, preserving
-        the deterministic cooperative loop; under pool backends it fills
-        worker queues up to capacity and applies whatever completed, blocking
+        the deterministic cooperative loop; out of process it fills
+        agent queues up to capacity and applies whatever completed, blocking
         briefly only when every runnable tile is already in flight.  Returns
         ``False`` when nothing is pending (the server is idle).  Deadline
         expiry happens here, at scheduling points — a tile already rendering
         is never aborted mid-flight; its result is dropped instead.
 
         Each step also runs the backend's :meth:`maintain` hook — the
-        process pool's supervision sweep (respawn dead workers, re-dispatch
-        their tiles), speculative hedging and work stealing — so a worker
+        remote backend's supervision sweep (fail lost agents over, re-fork
+        dead ones), speculative hedging and work stealing — so a worker
         crash mid-job heals without the scheduler doing anything special:
         jobs complete, bit-identically, through the repair.
         """
@@ -788,7 +789,7 @@ class RenderServer:
         """First scheduling of a job: resolve geometry and plan its tiles.
 
         Deliberately scene-only — the field/engine bundle is the executing
-        worker's concern, so planning stays cheap and process-pool servers
+        worker's concern, so planning stays cheap and out-of-process servers
         never build bundles on the scheduler.
         """
         job.state = JobState.RUNNING

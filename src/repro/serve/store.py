@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -98,16 +97,13 @@ class SceneStoreStats:
 class SceneStoreSpec:
     """Everything needed to rebuild a :class:`SceneStore` in another process.
 
-    Worker backends ship this (not the store itself) to shard stores across
-    shared-nothing processes: bundles are *rebuilt* in each worker, never
-    pickled.  The spec is picklable as long as the loader is (a module-level
-    function, or ``None`` for the default :func:`repro.api.load_scene`);
-    stores created with an unpicklable closure loader still spec fine under
-    the fork start method, which inherits the closure instead of pickling it.
-
-    The remote backend has no fork to hide behind — the spec crosses a
-    *socket* to the host agents — so it calls :meth:`ensure_picklable` up
-    front to turn the eventual obscure pickling error into a typed one.
+    The out-of-process backend ships this (not the store itself) over a
+    socket to its host agents, which rebuild their shard stores from it:
+    bundles are *rebuilt* in each agent, never pickled.  The spec is
+    picklable as long as the loader is (a module-level function, or
+    ``None`` for the default :func:`repro.api.load_scene`); the backend
+    calls :meth:`ensure_picklable` at start to turn the eventual obscure
+    pickling error into a typed one.
     """
 
     memory_budget_bytes: Optional[int] = None
@@ -119,8 +115,8 @@ class SceneStoreSpec:
     def ensure_picklable(self) -> None:
         """Raise a legible ``TypeError`` if this spec cannot cross a socket.
 
-        Remote host agents rebuild their shard from the spec sent over the
-        wire; a closure loader (fine under fork) cannot make that trip.
+        Host agents rebuild their shard from the spec sent over the wire;
+        a closure loader cannot make that trip.
         """
         try:
             pickle.dumps(self)
@@ -193,19 +189,9 @@ class SceneStore:
         #: Keys whose builds fail with :class:`PoisonedBundleError` (chaos).
         self._poisoned: set = set()
         #: Memoized bundle fingerprints (pure functions of immutable config).
+        #: A store is touched by one thread only — the scheduler's, or a
+        #: host agent's — so it takes no locks.
         self._fingerprints: Dict[StoreKey, str] = {}
-        #: The store is shared between the scheduler (scene-level planning
-        #: reads) and thread-backend workers (bundle builds): this reentrant
-        #: lock serializes every bundle-level entry point.  Builds are
-        #: *meant* to serialize — concurrently compressing the same scene
-        #: twice would waste far more than the lock ever costs.
-        self._lock = threading.RLock()
-        #: The scene cache has its own lock so the scheduler's planning reads
-        #: (:meth:`get_scene` on an already-cached scene) never stall behind
-        #: a worker's multi-second bundle build holding ``_lock``.  Ordering:
-        #: ``_lock`` may be held when taking ``_scene_lock``, never the
-        #: reverse.
-        self._scene_lock = threading.RLock()
 
     # ------------------------------------------------------------------
     def spec(self) -> SceneStoreSpec:
@@ -293,38 +279,6 @@ class SceneStore:
         field through the registry, wraps it in an engine, and evicts
         least-recently-used bundles until budget and entry limits hold again.
         """
-        with self._lock:
-            return self._get_locked(scene_name, pipeline)
-
-    def get_accounted(
-        self, scene_name: str, pipeline: str
-    ) -> Tuple[SceneBundleRecord, bool, float]:
-        """:meth:`get` plus the accounting execution backends report per tile:
-        ``(record, was_resident, build_seconds)``, read atomically under the
-        store lock so concurrent workers cannot misattribute builds."""
-        with self._lock:
-            misses_before = self._stats.misses
-            start = time.perf_counter()
-            record = self._get_locked(scene_name, pipeline)
-            elapsed = time.perf_counter() - start
-            cached = self._stats.misses == misses_before
-            return record, cached, (0.0 if cached else elapsed)
-
-    def poison(self, scene_name: str, pipeline: str) -> None:
-        """Mark one bundle key as failing to build (reproducible chaos).
-
-        Every subsequent :meth:`get` of the key raises
-        :class:`PoisonedBundleError` — exactly where a real corrupt
-        checkpoint or crashing preprocessing step would surface.  An already
-        resident bundle is evicted first, so the poison takes effect
-        immediately rather than hiding behind residency.
-        """
-        key = (scene_name, pipeline)
-        with self._lock:
-            self.evict(key)
-            self._poisoned.add(key)
-
-    def _get_locked(self, scene_name: str, pipeline: str) -> SceneBundleRecord:
         key = (scene_name, pipeline)
         if key in self._poisoned:
             raise PoisonedBundleError(
@@ -347,13 +301,11 @@ class SceneStore:
             # owning it, nothing would ever evict it (it is invisible to the
             # memory budget, which only sums entries).
             if not any(k[0] == scene_name for k in self._entries):
-                with self._scene_lock:
-                    self._scenes.pop(scene_name, None)
+                self._scenes.pop(scene_name, None)
             raise
         engine = RenderEngine(built, scene)
         # Build the occupancy index with the bundle (eagerly, so the first
-        # tile never pays for it and concurrent first-tile workers cannot
-        # race to build it twice) and count it against the memory budget
+        # tile never pays for it) and count it against the memory budget
         # alongside the field it accelerates.
         index = build_occupancy_index(built)
         elapsed = time.perf_counter() - start
@@ -374,6 +326,31 @@ class SceneStore:
         self._evict_to_fit()
         return record
 
+    def get_accounted(
+        self, scene_name: str, pipeline: str
+    ) -> Tuple[SceneBundleRecord, bool, float]:
+        """:meth:`get` plus the accounting execution backends report per tile:
+        ``(record, was_resident, build_seconds)``."""
+        misses_before = self._stats.misses
+        start = time.perf_counter()
+        record = self.get(scene_name, pipeline)
+        elapsed = time.perf_counter() - start
+        cached = self._stats.misses == misses_before
+        return record, cached, (0.0 if cached else elapsed)
+
+    def poison(self, scene_name: str, pipeline: str) -> None:
+        """Mark one bundle key as failing to build (reproducible chaos).
+
+        Every subsequent :meth:`get` of the key raises
+        :class:`PoisonedBundleError` — exactly where a real corrupt
+        checkpoint or crashing preprocessing step would surface.  An already
+        resident bundle is evicted first, so the poison takes effect
+        immediately rather than hiding behind residency.
+        """
+        key = (scene_name, pipeline)
+        self.evict(key)
+        self._poisoned.add(key)
+
     # ------------------------------------------------------------------
     def get_scene(self, scene_name: str) -> SyntheticScene:
         """The scene object alone, loaded (and cached) without building a field.
@@ -383,18 +360,17 @@ class SceneStore:
         field build the execution backend will do (possibly in another
         process) anyway.  The cached scene is shared with any bundle later
         built for it and is dropped with the scene's last resident bundle;
-        a scene that never gets a bundle on *this* store (the process-pool
-        scheduler's case — bundles live in the worker shards) stays cached
+        a scene that never gets a bundle on *this* store (the out-of-process
+        scheduler's case — bundles live in the agents' shards) stays cached
         for the store's lifetime, so planners serving an unbounded scene
         catalog should expect residency to track the catalog, not the
         bundle budget.
         """
-        with self._scene_lock:
-            scene = self._scenes.get(scene_name)
-            if scene is None:
-                scene = self._load_scene(scene_name)
-                self._scenes[scene_name] = scene
-            return scene
+        scene = self._scenes.get(scene_name)
+        if scene is None:
+            scene = self._load_scene(scene_name)
+            self._scenes[scene_name] = scene
+        return scene
 
     # ------------------------------------------------------------------
     def _load_scene(self, scene_name: str) -> SyntheticScene:
@@ -417,44 +393,37 @@ class SceneStore:
     # ------------------------------------------------------------------
     def evict(self, key: StoreKey) -> bool:
         """Drop one bundle (and its scene, when no other pipeline uses it)."""
-        with self._lock:
-            record = self._entries.pop(key, None)
-            if record is None:
-                return False
-            self._stats.evictions += 1
-            scene_name = key[0]
-            if not any(k[0] == scene_name for k in self._entries):
-                with self._scene_lock:
-                    self._scenes.pop(scene_name, None)
-            return True
+        record = self._entries.pop(key, None)
+        if record is None:
+            return False
+        self._stats.evictions += 1
+        scene_name = key[0]
+        if not any(k[0] == scene_name for k in self._entries):
+            self._scenes.pop(scene_name, None)
+        return True
 
     def clear(self) -> None:
         """Drop every resident bundle and scene (counted as evictions)."""
-        with self._lock:
-            for key in list(self._entries):
-                self.evict(key)
+        for key in list(self._entries):
+            self.evict(key)
 
     # ------------------------------------------------------------------
     def contains(self, scene_name: str, pipeline: str) -> bool:
-        with self._lock:
-            return (scene_name, pipeline) in self._entries
+        return (scene_name, pipeline) in self._entries
 
     def resident_keys(self) -> Tuple[StoreKey, ...]:
         """Resident keys in LRU order (least recently used first)."""
-        with self._lock:
-            return tuple(self._entries)
+        return tuple(self._entries)
 
     def resident_bytes(self) -> int:
-        with self._lock:
-            return sum(record.memory_bytes for record in self._entries.values())
+        return sum(record.memory_bytes for record in self._entries.values())
 
     def stats(self) -> SceneStoreStats:
         """A snapshot of the store counters (copy — safe to keep)."""
-        with self._lock:
-            snapshot = SceneStoreStats(**{
-                f: getattr(self._stats, f)
-                for f in ("hits", "misses", "evictions", "build_time_s")
-            })
-            snapshot.resident_entries = len(self._entries)
-            snapshot.resident_bytes = self.resident_bytes()
-            return snapshot
+        snapshot = SceneStoreStats(**{
+            f: getattr(self._stats, f)
+            for f in ("hits", "misses", "evictions", "build_time_s")
+        })
+        snapshot.resident_entries = len(self._entries)
+        snapshot.resident_bytes = self.resident_bytes()
+        return snapshot

@@ -86,7 +86,7 @@ class ServerStats:
     speed; ``throughput_rays_per_s_wall`` divides by elapsed wall time, the
     serving capacity an operator provisions against.
 
-    The elasticity counters stay 0 under the serial and thread backends; the
+    The elasticity counters stay 0 under the serial backend; the
     duplicate completions that respawns, re-dispatches and hedges produce
     are dropped by the scheduler and counted in ``dropped_tile_results``.  ``stage_breakdown`` maps each of
     :data:`STAGE_NAMES` to its bounded-histogram digest (count / total /

@@ -9,8 +9,8 @@ Every job the :class:`~repro.serve.server.RenderServer` touches leaves a
   process boundary — workers report **durations** in
   :class:`~repro.serve.backends.TileResult` fields, and the scheduler anchors
   them backwards from the moment it applied the result, so one monotonic
-  timebase covers the whole trace even under the process pool.  The small
-  right-shift this introduces (result-queue residency) is the price of never
+  timebase covers the whole trace even across processes and hosts.  The
+  small right-shift this introduces (result transit) is the price of never
   comparing clocks between processes.
 * **Point events** (``hedged``, ``redispatched``, ``stolen``, ``respawn``,
   ``expired``, ``rejected``, ``cancelled``, ``failed``) mark the moments the

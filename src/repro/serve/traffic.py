@@ -13,9 +13,9 @@ Two canonical load shapes drive the serve benchmark:
 Both replayers pump the :meth:`RenderServer.step` loop themselves, so a
 benchmark is one ordinary function call — no event loop, and (under the
 default serial backend) fully reproducible schedules.  The same replayers
-drive the pool backends unchanged: there, each ``step`` fills the worker
-queues up to capacity and folds back whatever completed, so closed-loop
-throughput measures the pool's real parallelism while the submission side
+drive the out-of-process backend unchanged: there, each ``step`` fills the
+agent queues up to capacity and folds back whatever completed, so
+closed-loop throughput measures real parallelism while the submission side
 stays single-threaded and deterministic.
 """
 

@@ -6,9 +6,9 @@ droppable — which makes respawn, speculative re-dispatch and work stealing
 safe by construction.  This suite stages reproducible disasters with
 :class:`FaultPlan` and proves the guarantees hold:
 
-* **supervision + respawn** — a process worker killed mid-job is replaced
-  from the picklable store spec, its in-flight tiles re-dispatched, and
-  every job still reaches DONE with frames bit-identical to direct renders;
+* **supervision + respawn** — a process-backend agent killed mid-job has
+  its in-flight tiles re-dispatched and is re-forked, and every job still
+  reaches DONE with frames bit-identical to direct renders;
 * **poisoned builds** — a bundle build that deterministically fails takes
   down only the jobs that need it, with a typed error, while the worker and
   every other job keep serving;
@@ -16,8 +16,7 @@ safe by construction.  This suite stages reproducible disasters with
   onto a healthy one; first completion wins, the loser is dropped;
 * **work stealing** — a hot key migrates off a saturated shard to an idle
   one, at a bounded rate;
-* **teardown** — close() with work in flight leaks no threads and never
-  hangs on a dead worker's queue;
+* **teardown** — close() with work in flight never hangs on a dead agent;
 * **telemetry** — the respawn/redispatch/hedge/steal counters flow through
   ``ServerStats.as_dict()`` and ``GET /v1/stats``, and stay zero on the
   serial backend.
@@ -37,10 +36,9 @@ from repro.serve import (
     FaultPlan,
     JobState,
     PoisonedBundleError,
-    ProcessPoolBackend,
+    RemoteBackend,
     RenderServer,
     SceneStore,
-    ThreadPoolBackend,
     TileTask,
     closed_loop_workload,
     make_backend,
@@ -97,16 +95,14 @@ def test_fault_plan_validates_and_pickles():
 def test_make_backend_passes_through_elasticity_knobs():
     backend = make_backend("process", num_workers=2, queue_depth=5,
                            hedge_multiplier=3.0, steal_interval_s=0.5)
-    assert isinstance(backend, ProcessPoolBackend)
+    assert isinstance(backend, RemoteBackend)
     assert backend.queue_depth == 5
     assert backend.hedge_multiplier == 3.0
     assert backend.steal_interval_s == 0.5
     # queue_depth is validated wherever it enters.
     with pytest.raises(ValueError, match="queue_depth"):
         make_backend("process", num_workers=2, queue_depth=0)
-    with pytest.raises(ValueError, match="queue_depth"):
-        make_backend("thread", num_workers=2, queue_depth=-3)
-    assert make_backend("thread", queue_depth=4).queue_depth == 4
+    assert make_backend("process", queue_depth=4).queue_depth == 4
 
 
 def test_make_backend_refuses_unsupported_knobs():
@@ -114,14 +110,24 @@ def test_make_backend_refuses_unsupported_knobs():
         make_backend("serial", queue_depth=4)
     with pytest.raises(ValueError, match="serial"):
         make_backend("serial", fault_plan=FaultPlan(delay_worker=0, delay_s=0.1))
-    with pytest.raises(ValueError, match="process backend"):
-        make_backend("thread", hedge_multiplier=2.0)
-    with pytest.raises(ValueError, match="process backend"):
-        ThreadPoolBackend(num_workers=2, fault_plan=FaultPlan(kill_worker=0))
     with pytest.raises(ValueError, match="hedge_multiplier"):
-        ProcessPoolBackend(num_workers=2, hedge_multiplier=0.0)
+        RemoteBackend(num_workers=2, hedge_multiplier=0.0)
     with pytest.raises(ValueError, match="steal_interval_s"):
-        ProcessPoolBackend(num_workers=2, steal_interval_s=-1.0)
+        RemoteBackend(num_workers=2, steal_interval_s=-1.0)
+
+
+@pytest.mark.parametrize(
+    "knob", ["kill_worker", "delay_worker", "drop_host", "partition_host", "delay_host"]
+)
+def test_fault_plan_naming_a_missing_agent_is_refused(knob):
+    """A fault aimed at an agent the backend does not have could never
+    fire, so a chaos test using it would pass vacuously: refuse it."""
+    plan = FaultPlan(**{knob: 2})
+    with pytest.raises(ValueError, match=rf"{knob}=2 names no agent"):
+        make_backend("process", num_workers=2, fault_plan=plan)
+    with pytest.raises(ValueError, match=rf"{knob}=2 names no agent"):
+        make_backend("remote", hosts=["h:1", "h:2"], fault_plan=plan)
+    assert make_backend("process", num_workers=3, fault_plan=plan).fault_plan == plan
 
 
 def test_store_poison_is_a_typed_build_failure():
@@ -146,7 +152,7 @@ def test_worker_kill_mid_job_heals_and_stays_bit_identical(direct_frames):
     in-flight tiles are re-dispatched, and every job completes with frames
     byte-equal to direct renders — the scheduler never sees an exception."""
     store = make_store()
-    backend = ProcessPoolBackend(
+    backend = RemoteBackend(
         num_workers=2, fault_plan=FaultPlan(kill_worker=0, kill_after_tiles=2)
     )
     with RenderServer(store, backend=backend) as server:
@@ -175,7 +181,7 @@ def test_cross_job_dedupe_survives_a_worker_kill(direct_frames):
     the shared tiles: the respawned shard's re-dispatched tiles feed every
     attached job, and all of them complete bit-identically."""
     store = make_store()
-    backend = ProcessPoolBackend(
+    backend = RemoteBackend(
         num_workers=2, fault_plan=FaultPlan(kill_worker=0, kill_after_tiles=2)
     )
     with RenderServer(store, backend=backend, cache="lru") as server:
@@ -200,7 +206,7 @@ def test_dead_worker_is_detected_behind_a_full_result_queue():
     the surviving workers keep the result queue stocked (the old health
     check only fired on an empty blocking collect)."""
     store = make_store()
-    backend = ProcessPoolBackend(
+    backend = RemoteBackend(
         num_workers=2, fault_plan=FaultPlan(kill_worker=0, kill_after_tiles=1)
     )
     backend.start(store)
@@ -294,7 +300,7 @@ def test_chaos_closed_loop_acceptance(direct_frames):
     the typed error; respawn/redispatch counters prove the healing ran."""
     store = make_store()
     plan = FaultPlan(kill_worker=0, kill_after_tiles=3, poison_key=("lego", "spnerf"))
-    backend = ProcessPoolBackend(num_workers=2, fault_plan=plan)
+    backend = RemoteBackend(num_workers=2, fault_plan=plan)
     with RenderServer(store, backend=backend, default_tile_size=TILE) as server:
         items = closed_loop_workload(["lego", "ficus"], ["dense"], num_requests=6, seed=3)
         job_ids = replay_closed_loop(server, items, concurrency=3)
@@ -327,7 +333,7 @@ def test_hedging_rescues_tiles_from_a_slow_worker(direct_frames):
     threshold; duplicates dispatch to the healthy worker and the first
     completion wins, bit-identically."""
     store = make_store()
-    backend = ProcessPoolBackend(
+    backend = RemoteBackend(
         num_workers=2,
         fault_plan=FaultPlan(delay_worker=1, delay_s=0.25),
         hedge_multiplier=2.0,
@@ -350,9 +356,9 @@ def test_hedging_rescues_tiles_from_a_slow_worker(direct_frames):
 
 
 def test_hedge_budget_bounds_duplicates():
-    backend = ProcessPoolBackend(num_workers=2, hedge_multiplier=2.0, hedge_budget=1)
+    backend = RemoteBackend(num_workers=2, hedge_multiplier=2.0, hedge_budget=1)
     assert backend.hedge_budget == 1
-    default = ProcessPoolBackend(num_workers=3, hedge_multiplier=2.0)
+    default = RemoteBackend(num_workers=3, hedge_multiplier=2.0)
     assert default.hedge_budget == 3  # one speculative copy per worker
 
 
@@ -365,7 +371,7 @@ def test_work_stealing_migrates_a_hot_key(direct_frames):
     the affinity migrates (bounded by steal_interval_s) and jobs complete
     bit-identically on the new shard's rebuilt bundle."""
     store = make_store()
-    backend = ProcessPoolBackend(num_workers=2, steal_interval_s=0.05)
+    backend = RemoteBackend(num_workers=2, steal_interval_s=0.05)
     with RenderServer(store, backend=backend) as server:
         jobs = [server.submit("lego", "dense", tile_size=TILE) for _ in range(3)]
         server.run_until_idle()
@@ -382,7 +388,7 @@ def test_work_stealing_migrates_a_hot_key(direct_frames):
 
 def test_stealing_disabled_by_default():
     store = make_store()
-    backend = ProcessPoolBackend(num_workers=2)
+    backend = RemoteBackend(num_workers=2)
     with RenderServer(store, backend=backend) as server:
         jobs = [server.submit("lego", "dense", tile_size=TILE) for _ in range(3)]
         server.run_until_idle()
@@ -397,23 +403,11 @@ def test_stealing_disabled_by_default():
 # Teardown under fire (satellite: close() drains, never hangs, no leaks)
 # ----------------------------------------------------------------------
 
-def test_thread_backend_close_with_in_flight_work_leaks_no_threads():
-    store = make_store()
-    backend = ThreadPoolBackend(num_workers=2)
-    backend.start(store)
-    for index in range(8):
-        backend.submit(TileTask("job-x", index, "lego", "dense", 0, index * 72, (index + 1) * 72))
-    start = time.monotonic()
-    backend.close()
-    assert time.monotonic() - start < 10.0
-    assert all(not thread.is_alive() for thread in backend._threads)
-
-
 def test_process_backend_close_with_dead_worker_does_not_hang():
-    """A worker that died with backlog in its queue must not wedge close()
-    on the queue's feeder thread."""
+    """An agent that died with tasks queued on its socket must not wedge
+    close()."""
     store = make_store()
-    backend = ProcessPoolBackend(
+    backend = RemoteBackend(
         num_workers=2, fault_plan=FaultPlan(kill_worker=0, kill_after_tiles=1)
     )
     backend.start(store)
@@ -421,12 +415,12 @@ def test_process_backend_close_with_dead_worker_does_not_hang():
         backend.submit(TileTask("job-y", index, "lego", "dense", 0, index * 96, (index + 1) * 96))
     # Give the doomed worker time to pick up its first task and die.
     deadline = time.monotonic() + 30.0
-    while backend._processes[0].is_alive() and time.monotonic() < deadline:
+    while backend._cluster.processes[0].is_alive() and time.monotonic() < deadline:
         time.sleep(0.01)
     start = time.monotonic()
     backend.close()
     assert time.monotonic() - start < 10.0
-    assert all(not process.is_alive() for process in backend._processes)
+    assert all(not process.is_alive() for process in backend._cluster.processes)
 
 
 # ----------------------------------------------------------------------

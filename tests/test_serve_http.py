@@ -32,7 +32,7 @@ import pytest
 from repro.api import PipelineConfig, SpNeRFConfig, register_pipeline, unregister_pipeline
 from repro.nerf.renderer import DenseGridField
 from repro.serve import Priority, RenderServer, SceneStore, orbit_workload
-from repro.serve.backends import ProcessPoolBackend
+from repro.serve.remote import RemoteBackend
 from repro.serve.http import (
     DeficitRoundRobin,
     HttpRenderFrontEnd,
@@ -546,7 +546,7 @@ def test_http_frame_bit_identical_over_process_backend(store):
     fresh = SceneStore(config=SERVE_CONFIG, scene_kwargs=dict(SCENE_KWARGS))
     server_kwargs = {"default_tile_size": 97}
     server = RenderServer(
-        fresh, backend=ProcessPoolBackend(num_workers=2), **server_kwargs
+        fresh, backend=RemoteBackend(num_workers=2), **server_kwargs
     )
     edge = HttpRenderFrontEnd(server)
     host, port = edge.run_in_thread()

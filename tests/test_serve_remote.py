@@ -9,13 +9,15 @@ guarantee the in-process pools made survives the network being a network:
   yields a corrupt object; a schema-version skew fails with a typed
   :class:`WireVersionError` naming both versions; garbage framing is a
   :class:`TornFrameError`, not an unpickle crash;
-* **validation** — remote-only knobs are refused loudly on the in-process
-  backends, network faults are refused on pools with no connections to
-  drop, and unknown backend names list every valid name;
+* **validation** — remote-only knobs are refused loudly on the serial and
+  process backends, and unknown backend names list every valid name;
 * **failover** — a killed host, a torn connection, and a silent partition
   are all detected (connection close / torn frame / heartbeat deadline),
   in-flight tiles redispatch to survivors, and frames stay bit-identical
-  to direct renders with zero failed jobs;
+  to direct renders with zero failed jobs — on external hosts and on the
+  process backend's own agents alike;
+* **hedging** — a tile stuck on a slow host is duplicated onto another
+  host and the first completion wins;
 * **degradation** — with every host gone, ``local_fallback=True`` renders
   stranded tiles in-process rather than stalling;
 * **telemetry** — host_losses / host_reconnects / local_fallback_tiles /
@@ -41,11 +43,9 @@ from repro.serve import (
     FrameDecoder,
     JobState,
     LocalHostCluster,
-    ProcessPoolBackend,
     RemoteBackend,
     RenderServer,
     SceneStore,
-    ThreadPoolBackend,
     TileResult,
     TileTask,
     TornFrameError,
@@ -153,7 +153,7 @@ def test_garbage_framing_is_a_torn_frame_not_an_unpickle():
 # ----------------------------------------------------------------------
 
 def test_remote_knobs_are_refused_on_in_process_backends():
-    for name in ("serial", "thread", "process"):
+    for name in ("serial", "process"):
         with pytest.raises(ValueError, match=rf"{name} backend does not support"):
             make_backend(name, hosts=["127.0.0.1:7000"])
         with pytest.raises(ValueError, match="heartbeat_interval_s"):
@@ -178,33 +178,15 @@ def test_remote_backend_validates_its_own_knobs():
         RemoteBackend(hosts=["h:1"], heartbeat_interval_s=1.0, heartbeat_timeout_s=0.5)
     with pytest.raises(ValueError, match="backoff_max_s"):
         RemoteBackend(hosts=["h:1"], backoff_base_s=1.0, backoff_max_s=0.1)
-    # Hedging/stealing and num_workers are pool-only vocabulary here.
-    with pytest.raises(ValueError, match="not supported on the remote backend"):
-        make_backend("remote", hosts=["h:1"], hedge_multiplier=2.0)
-    with pytest.raises(ValueError, match="not supported on the remote backend"):
-        make_backend("remote", hosts=["h:1"], steal_interval_s=0.5)
+    # The host list sizes the backend; num_workers would contradict it.
     with pytest.raises(ValueError, match="num_workers"):
         make_backend("remote", hosts=["h:1"], num_workers=4)
-
-
-def test_network_faults_are_refused_on_in_process_pools():
-    plan = FaultPlan(drop_host=0)
-    with pytest.raises(ValueError, match="remote backend"):
-        ProcessPoolBackend(num_workers=2, fault_plan=plan)
-    with pytest.raises(ValueError, match="remote backend"):
-        ThreadPoolBackend(num_workers=2, fault_plan=FaultPlan(partition_host=1))
-    with pytest.raises(ValueError, match="remote backend"):
-        make_backend("process", num_workers=2,
-                     fault_plan=FaultPlan(delay_host=0, delay_host_s=0.1))
-    assert plan.network_faults() == ("drop_host",)
-    assert FaultPlan(kill_worker=0).network_faults() == ()
 
 
 def test_network_fault_plan_validates_and_pickles():
     plan = FaultPlan(drop_host=1, drop_connection_after_tiles=2,
                      partition_host=0, delay_host=2, delay_host_s=0.05)
     assert pickle.loads(pickle.dumps(plan)) == plan
-    assert set(plan.network_faults()) == {"drop_host", "partition_host", "delay_host"}
     with pytest.raises(ValueError, match="drop_connection_after_tiles"):
         FaultPlan(drop_host=0, drop_connection_after_tiles=0)
     with pytest.raises(ValueError, match="delay_host_s"):
@@ -216,9 +198,11 @@ def test_unpicklable_store_spec_fails_before_any_socket():
         scene_kwargs=dict(SCENE_KWARGS), config=SERVE_CONFIG,
         loader=lambda name, pipeline: None,  # closures cannot cross a socket
     )
-    backend = RemoteBackend(hosts=["127.0.0.1:7999"])
-    with pytest.raises(TypeError, match="picklable"):
-        backend.start(store)
+    # The process form checks before it forks its own agents.
+    for backend in (RemoteBackend(hosts=["127.0.0.1:7999"]), RemoteBackend(num_workers=2)):
+        with pytest.raises(TypeError, match="picklable"):
+            backend.start(store)
+        assert backend._cluster is None
 
 
 # ----------------------------------------------------------------------
@@ -344,6 +328,56 @@ def test_torn_connection_reconnects_with_backoff(direct_frames):
     assert stats.redispatched_tiles >= 1
     assert stats.failed == 0
     assert stats.completed == 4
+
+
+def test_network_faults_heal_on_the_process_backend(direct_frames):
+    """The process backend's own agents honour network faults too: a torn
+    connection to agent 0 fails its tiles over to agent 1 and every frame
+    stays byte-equal to the direct render."""
+    backend = make_backend("process", num_workers=2, fault_plan=FaultPlan(drop_host=0))
+    with RenderServer(make_store(), backend=backend, default_tile_size=TILE) as server:
+        jobs = {}
+        for scene in ("lego", "ficus"):
+            for _ in range(2):
+                jobs[server.submit(scene, "dense", tile_size=TILE)] = (scene, "dense")
+        server.run_until_idle()
+        for job, key in jobs.items():
+            view = server.poll(job)
+            assert view.state is JobState.DONE, view.error
+            assert server.result(job).image.tobytes() == direct_frames[key].tobytes()
+        stats = server.stats()
+    assert stats.backend == "process"
+    assert stats.host_losses >= 1
+    assert stats.redispatched_tiles >= 1
+    assert stats.worker_respawns == 0  # the agent lived; only its socket died
+    assert stats.failed == 0
+
+
+def test_cross_host_hedging_rescues_tiles_from_a_slow_host(direct_frames):
+    """Hedging on external hosts: host 1 crawls, its tiles overstay the
+    hedge threshold and are duplicated onto host 0; the first completion
+    wins and every frame stays byte-equal to the direct render."""
+    with LocalHostCluster(2) as cluster:
+        backend = RemoteBackend(
+            hosts=cluster.addresses, **FAST_BEAT,
+            fault_plan=FaultPlan(delay_worker=1, delay_s=0.25),
+            hedge_multiplier=2.0, hedge_min_samples=3,
+        )
+        with RenderServer(make_store(), backend=backend) as server:
+            # lego/dense routes to (fast) host 0 and seeds the p95 samples;
+            # ficus/dense routes to host 1, which crawls.
+            fast = server.submit("lego", "dense", tile_size=TILE)
+            slow = server.submit("ficus", "dense", tile_size=TILE)
+            server.run_until_idle()
+            for job, key in ((fast, ("lego", "dense")), (slow, ("ficus", "dense"))):
+                view = server.poll(job)
+                assert view.state is JobState.DONE, view.error
+                assert server.result(job).image.tobytes() == direct_frames[key].tobytes()
+            stats = server.stats()
+    assert stats.backend == "remote"
+    assert stats.hedged_tiles >= 1
+    assert stats.host_losses == 0  # slow, and still heard from: not dead
+    assert stats.failed == 0
 
 
 def test_local_fallback_degrades_gracefully_when_all_hosts_die():

@@ -43,7 +43,7 @@ from repro.serve import (
     STAGE_NAMES,
     FaultPlan,
     JobState,
-    ProcessPoolBackend,
+    RemoteBackend,
     RenderServer,
     SceneStore,
     StreamingHistogram,
@@ -465,7 +465,7 @@ def test_process_job_trace_accounts_for_latency():
     anchored onto the scheduler's clock: the reconstructed spans must still
     account for the job's latency, tile affinity keeping them sequential."""
     store = make_store()
-    backend = ProcessPoolBackend(num_workers=2)
+    backend = RemoteBackend(num_workers=2)
     with RenderServer(store, backend=backend) as server:
         jobs = [
             server.submit("lego", "dense", tile_size=TILE),
@@ -490,7 +490,7 @@ def test_process_job_trace_accounts_for_latency():
 
 def test_process_kill_traces_redispatch_and_respawn(warm_store):
     store = make_store()
-    backend = ProcessPoolBackend(
+    backend = RemoteBackend(
         num_workers=2, fault_plan=FaultPlan(kill_worker=0, kill_after_tiles=2)
     )
     with RenderServer(store, backend=backend) as server:
@@ -515,7 +515,7 @@ def test_process_kill_traces_redispatch_and_respawn(warm_store):
 
 def test_process_hedge_traces_the_hedged_event():
     store = make_store()
-    backend = ProcessPoolBackend(
+    backend = RemoteBackend(
         num_workers=2,
         fault_plan=FaultPlan(delay_worker=1, delay_s=0.25),
         hedge_multiplier=2.0,
